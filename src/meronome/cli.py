@@ -130,10 +130,6 @@ def _load_state(args) -> tuple[linalg.StateVector, linalg.BipartiteSplit, float]
     return linalg.StateVector.normalized(amps), split, norm
 
 
-def _matrix(op: linalg.Operator):
-    return op.entries
-
-
 # ---------------------------------------------------------------- handlers
 
 def _cmd_schmidt(args, config: RunConfig):
@@ -160,7 +156,7 @@ def _cmd_frame(args, config: RunConfig):
         u = frames.theta_frame_unitary(args.theta)
         result = {"kind": "theta", "theta": args.theta}
     defect = float(np.abs(u.dag().entries @ u.entries - np.eye(u.dim)).max())
-    result.update({"unitary": _matrix(u), "unitary_defect": defect})
+    result.update({"unitary": u.entries, "unitary_defect": defect})
     return result, False
 
 
@@ -176,7 +172,7 @@ def _cmd_pauli_table(args, config: RunConfig):
             in_frame = np.kron(sigma, eye) if side == "A" else np.kron(eye, sigma)
             defect = float(np.abs(op.entries - bell.conj().T @ in_frame @ bell).max())
             max_defect = max(max_defect, defect)
-            entries.append({"pauli": label, "subsystem": side, "matrix": _matrix(op)})
+            entries.append({"pauli": label, "subsystem": side, "matrix": op.entries})
     return {"entries": entries, "max_frame_defect": max_defect}, False
 
 
@@ -188,6 +184,15 @@ def _partial_maxent(split: linalg.BipartiteSplit) -> linalg.DensityOperator:
     return linalg.DensityOperator.from_state(linalg.StateVector(amps))
 
 
+def _shards(total: int, workers: int, rng: sampling.RngStream) -> list[tuple[int, sampling.RngStream]]:
+    """(share, stream) pairs: all of `total` on `rng` for one worker, else near-equal
+    shares (the first `total % workers` one larger) on split sub-streams."""
+    if workers == 1:
+        return [(total, rng)]
+    base, extra = divmod(total, workers)
+    return [(base + (i < extra), child) for i, child in enumerate(rng.split(workers))]
+
+
 def _cmd_twirl(args, config: RunConfig):
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
@@ -197,11 +202,8 @@ def _cmd_twirl(args, config: RunConfig):
     if config.workers == 1:
         est = sampling.twirl_monte_carlo(rho, split, args.samples, rng)
     else:
-        shares = [args.samples // config.workers] * config.workers
-        for i in range(args.samples % config.workers):
-            shares[i] += 1
         acc = np.zeros((split.dim, split.dim), dtype=np.complex128)
-        for share, child in zip(shares, rng.split(config.workers)):
+        for share, child in _shards(args.samples, config.workers, rng):
             if share:
                 acc += share * sampling.twirl_monte_carlo(rho, split, share, child).entries
         est = linalg.DensityOperator(acc / args.samples)
@@ -238,21 +240,11 @@ def _cmd_superdense(args, config: RunConfig):
 
 def _cmd_lambda(args, config: RunConfig):
     lam = getattr(args, "lambda")
-    rng = sampling.RngStream(config.seed)
-    if config.workers == 1:
-        est = protocols.sample_lambda_measurement(lam, args.shots, rng)
-    else:
-        if args.shots < config.workers:
-            raise ValueError("--shots must be >= --workers")
-        shares = [args.shots // config.workers] * config.workers
-        for i in range(args.shots % config.workers):
-            shares[i] += 1
-        hits = 0
-        for share, child in zip(shares, rng.split(config.workers)):
-            hits += protocols.sample_lambda_measurement(lam, share, child).hits
-        p_hat = hits / args.shots
-        lambda_hat = (1.0 - math.sqrt(1.0 - 4.0 * min(p_hat, 0.25))) / 2.0
-        est = protocols.LambdaEstimate(shots=args.shots, hits=hits, p_hat=p_hat, lambda_hat=lambda_hat)
+    if args.shots < config.workers:
+        raise ValueError("--shots must be >= --workers")
+    shards = _shards(args.shots, config.workers, sampling.RngStream(config.seed))
+    hits = sum(protocols.sample_lambda_measurement(lam, share, stream).hits for share, stream in shards)
+    est = protocols.LambdaEstimate.from_hits(args.shots, hits)
     expected = lam * (1.0 - lam)
     sigma = math.sqrt(expected * (1.0 - expected) / args.shots)
     return {
@@ -302,9 +294,7 @@ def _cmd_ordering(args, config: RunConfig):
 
 
 def _cmd_symspan(args, config: RunConfig):
-    rng = sampling.RngStream(config.seed)
-    report = protocols.sym_span_analysis(args.samples, rng)
-    return dataclasses.asdict(report), False
+    return protocols.sym_span_analysis(args.samples, sampling.RngStream(config.seed)), False
 
 
 _SUITES = {
@@ -341,14 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="meronome", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("schmidt", parents=[common], help="Schmidt parameters of a state")
-    p.add_argument("--state", required=True, help="re,im amplitude pairs; @file or - for stdin")
-    p.add_argument("--split", required=True, help="bipartition as d1xd2")
+    state_input = argparse.ArgumentParser(add_help=False)
+    state_input.add_argument("--state", required=True, help="re,im amplitude pairs; @file or - for stdin")
+    state_input.add_argument("--split", required=True, help="bipartition as d1xd2")
+
+    p = sub.add_parser("schmidt", parents=[common, state_input], help="Schmidt parameters of a state")
     p.set_defaults(handler=_cmd_schmidt)
 
-    p = sub.add_parser("classify", parents=[common], help="entanglement class of a state")
-    p.add_argument("--state", required=True, help="re,im amplitude pairs; @file or - for stdin")
-    p.add_argument("--split", required=True, help="bipartition as d1xd2")
+    p = sub.add_parser("classify", parents=[common, state_input], help="entanglement class of a state")
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("frame", parents=[common], help="frame-change unitaries")
@@ -394,9 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = ("seed", "tol", "fmt", "out", "workers")
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -404,16 +391,12 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = RunConfig(**{k: getattr(args, k) for k in _CONFIG_KEYS})
+        config = RunConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)})
     except ValueError as exc:
         print(f"meronome: error: {exc}", file=sys.stderr)
         return 2
 
-    echo = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("handler", "command") and not callable(v)
-    }
+    echo = {k: v for k, v in vars(args).items() if k != "command" and not callable(v)}
     started = time.perf_counter()
     try:
         result, failed = args.handler(args, config)

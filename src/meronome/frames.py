@@ -90,8 +90,19 @@ class MeronomicElement:
     def split(self) -> BipartiteSplit:
         return BipartiteSplit(self.v.dim, self.w.dim)
 
+    def act(self, amps: np.ndarray) -> np.ndarray:
+        """Raw amplitudes of (v (x) w) * swap applied to `amps`, via the factors.
+
+        With Psi = amps reshaped to (d1, d2) the swap is Psi^T and v (x) w is
+        v Psi w^T, so no composite matrix is built.  Nothing is renormalized.
+        """
+        psi = amps.reshape(self.v.dim, self.w.dim)
+        if self.swap:
+            psi = psi.T
+        return (self.v.entries @ psi @ self.w.entries.T).reshape(-1)
+
     def to_operator(self) -> Operator:
-        """The full matrix (v (x) w) * swap acting on the composite space."""
+        """The full matrix (v (x) w) * swap, for membership tests that need it whole."""
         mat = kron(self.v, self.w)
         if self.swap:
             mat = mat @ swap_operator(self.v.dim)
@@ -175,7 +186,7 @@ def apply_element(elem: MeronomicElement, state: StateVector, split: BipartiteSp
     """Act with a decomposition-preserving element on a composite state."""
     if elem.split != split:
         raise ValueError(f"element acts on {elem.split}, state split is {split}")
-    return elem.to_operator().apply(state)
+    return StateVector(elem.act(state.amps))
 
 
 def bell_frame_unitary() -> Operator:

@@ -10,6 +10,7 @@ on them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,8 @@ class StateVector:
     def __post_init__(self):
         arr = _as_complex_vector(self.amps)
         norm = np.linalg.norm(arr)
+        if not math.isfinite(norm):
+            raise ValueError(f"state vector norm is non-finite ({norm})")
         if abs(norm - 1.0) > TOL_ALGEBRA:
             raise ValueError(f"state vector norm is {norm!r}, expected 1 within {TOL_ALGEBRA}")
         object.__setattr__(self, "amps", arr)
@@ -85,6 +88,8 @@ class StateVector:
         """Build a state from arbitrary amplitudes after scaling to unit norm."""
         arr = _as_complex_vector(values)
         norm = np.linalg.norm(arr)
+        if not math.isfinite(norm):
+            raise ValueError(f"cannot normalize amplitudes with non-finite norm {norm}")
         if norm < 1e-12:
             raise ValueError("cannot normalize a (near-)zero amplitude vector")
         return cls(arr / norm)
@@ -147,6 +152,8 @@ class DensityOperator:
 
     def __post_init__(self):
         arr = _as_complex_matrix(self.entries)
+        if not np.isfinite(arr).all():
+            raise ValueError("density operator has non-finite entries")
         if np.abs(arr - arr.conj().T).max() > TOL_ALGEBRA:
             raise ValueError("density operator is not Hermitian")
         trace = arr.trace().real

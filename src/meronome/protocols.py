@@ -22,13 +22,12 @@ from .linalg import (
     DensityOperator,
     Operator,
     StateVector,
-    hermitian_eigensystem,
     kron,
     permutation_operator,
     permute_subsystems,
     tensor_state,
 )
-from .sampling import RngStream, _sample_m_batch, random_m_element, random_maxent_state, random_state
+from .sampling import RngStream, random_m_element, random_maxent_state, random_state, sample_m_batch
 
 _DIM_CAP = 4096  # dense operators and joint vectors stay cheap below this
 
@@ -58,9 +57,10 @@ def superdense_round(d: int, bit: int, rng: RngStream, encoder: Operator | None 
 
     The shared pair is Haar random and then scrambled by a random
     decomposition-preserving element, so neither party can rely on a
-    particular product basis.  Encoding bit 1 applies `encoder` (default:
-    the traceless cyclic shift) to the first factor; the receiver projects
-    onto the original state and decodes by majority of that outcome.
+    particular product basis.  Encoding bit 1 applies `encoder` w (default:
+    the traceless cyclic shift) to the first factor, as w @ Psi on the d x d
+    amplitude matrix; the receiver projects onto the original state and
+    decodes by majority of that outcome.
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
@@ -72,7 +72,7 @@ def superdense_round(d: int, bit: int, rng: RngStream, encoder: Operator | None 
     w = encoder if encoder is not None else shift_unitary(d)
     if w.dim != d:
         raise ValueError(f"encoder dim {w.dim} does not match d={d}")
-    sent = kron(w, Operator.identity(d)).apply(shared) if bit == 1 else shared
+    sent = StateVector((w.entries @ shared.amps.reshape(d, d)).reshape(-1)) if bit == 1 else shared
 
     overlap = shared.overlap(sent)
     p_same = abs(overlap) ** 2
@@ -142,6 +142,13 @@ class LambdaEstimate:
     p_hat: float
     lambda_hat: float
 
+    @classmethod
+    def from_hits(cls, shots: int, hits: int) -> "LambdaEstimate":
+        """Estimate from `hits` effect outcomes in `shots`, inverting p = lam * (1 - lam) on [0, 1/2]."""
+        p_hat = hits / shots
+        lambda_hat = (1.0 - math.sqrt(1.0 - 4.0 * min(p_hat, 0.25))) / 2.0
+        return cls(shots=shots, hits=hits, p_hat=p_hat, lambda_hat=lambda_hat)
+
 
 def sample_lambda_measurement(lam: float, shots: int, rng: RngStream) -> LambdaEstimate:
     """Estimate the smaller Schmidt parameter of sqrt(lam)|00> + sqrt(1-lam)|11>.
@@ -158,16 +165,14 @@ def sample_lambda_measurement(lam: float, shots: int, rng: RngStream) -> LambdaE
     lam_tensor = lambda_state().amps.reshape(2, 2, 2, 2).conj()
     phi = np.diag([math.sqrt(lam), math.sqrt(1.0 - lam)]).astype(np.complex128)
 
-    v, w, swaps = _sample_m_batch(BipartiteSplit(2, 2), shots, rng)
+    v, w, swaps = sample_m_batch(BipartiteSplit(2, 2), shots, rng)
     base = np.where(swaps[:, None, None], phi.T[None, :, :], phi[None, :, :])
     disguised = np.einsum("nai,nij,nbj->nab", v, base, w)
     amps = np.einsum("abcd,nab,ncd->n", lam_tensor, disguised, disguised)
     probs = np.abs(amps) ** 2
 
     hits = int((rng.generator.random(shots) < probs).sum())
-    p_hat = hits / shots
-    lambda_hat = (1.0 - math.sqrt(1.0 - 4.0 * min(p_hat, 0.25))) / 2.0
-    return LambdaEstimate(shots=shots, hits=hits, p_hat=p_hat, lambda_hat=lambda_hat)
+    return LambdaEstimate.from_hits(shots, hits)
 
 
 @lru_cache(maxsize=None)
@@ -255,8 +260,7 @@ def sym_span_analysis(samples: int, rng: RngStream) -> SymSpanReport:
     if samples < 20:
         raise ValueError(f"need at least 20 samples for a meaningful span, got {samples}")
     lam = lambda_state()
-    sym_vals, _ = hermitian_eigensystem(sym_projector(4, 2))
-    sym_dim = int((sym_vals > 0.5).sum())
+    sym_dim = _sym_basis_cached(4, 2).shape[1]
 
     rows = np.empty((samples, 16), dtype=np.complex128)
     max_product_overlap = 0.0
@@ -310,14 +314,13 @@ def ordering_discriminate(received: DensityOperator, tol: float = 1e-6) -> Order
 
     Projects onto the support of the first signal state: probability 1
     means the sender used the same pair ordering, 0 the swapped one, and
-    anything in between is reported as ambiguous.
+    anything in between is reported as ambiguous.  The first signal is a
+    rank-3 projector divided by 3, so its support projector is 3 * tau.
     """
     if received.dim != 16:
         raise ValueError(f"expected a four-qubit state, got dim {received.dim}")
     tau, _ = tau_states()
-    values, vectors = hermitian_eigensystem(Operator(tau.entries))
-    support = vectors[:, values > 1e-10]
-    weight = float(np.einsum("ik,ij,jk->", support.conj(), received.entries, support).real)
+    weight = 3.0 * float(np.trace(tau.entries @ received.entries).real)
     if weight >= 1.0 - tol:
         return OrderingVerdict.SAME
     if weight <= tol:

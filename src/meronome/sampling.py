@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .frames import MeronomicElement
+from .frames import MeronomicElement, swap_operator
 from .linalg import BipartiteSplit, DensityOperator, Operator, StateVector
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -93,7 +93,7 @@ def random_maxent_state(d: int, rng: RngStream) -> StateVector:
     return StateVector((v @ diag @ w.T).reshape(-1))
 
 
-def _sample_m_batch(split: BipartiteSplit, count: int, rng: RngStream):
+def sample_m_batch(split: BipartiteSplit, count: int, rng: RngStream):
     """Raw arrays for `count` group samples: (v stack, w stack, swap flags).
 
     Draw order is fixed (all v, then all w, then swap bits) so that a batch
@@ -114,7 +114,7 @@ def random_m_element(split: BipartiteSplit, rng: RngStream) -> MeronomicElement:
     Both factors are independent Haar unitaries; for square splits the swap
     is included with probability 1/2, otherwise never.
     """
-    v, w, swaps = _sample_m_batch(split, 1, rng)
+    v, w, swaps = sample_m_batch(split, 1, rng)
     return MeronomicElement(Operator(v[0]), Operator(w[0]), bool(swaps[0]))
 
 
@@ -146,16 +146,12 @@ def twirl_monte_carlo(
         raise ValueError(f"operator dim {rho.dim} does not match split {split.d1}x{split.d2}")
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
-    swap_mat = None
-    if split.d1 == split.d2:
-        from .frames import swap_operator
-
-        swap_mat = swap_operator(split.d1).entries
+    swap_mat = swap_operator(split.d1).entries if split.d1 == split.d2 else None
     acc = np.zeros((split.dim, split.dim), dtype=np.complex128)
     remaining = n
     while remaining > 0:
         m = min(_TWIRL_CHUNK, remaining)
-        v, w, swaps = _sample_m_batch(split, m, rng)
+        v, w, swaps = sample_m_batch(split, m, rng)
         u = np.einsum("nab,ncd->nacbd", v, w).reshape(m, split.dim, split.dim)
         if swap_mat is not None and swaps.any():
             u[swaps] = u[swaps] @ swap_mat

@@ -130,9 +130,9 @@ def gamma_delta(psi_local: StateVector, phi_local: StateVector) -> tuple[StateVe
     return gamma, delta
 
 
-def _transform_raw(matrix: np.ndarray, state: StateVector) -> Optional[StateVector]:
-    """Apply a possibly non-unitary matrix and renormalize; None if the state collapses."""
-    out = matrix @ state.amps
+def _transform_raw(elem: MeronomicElement, state: StateVector) -> Optional[StateVector]:
+    """Apply an element whose factors may be non-unitary and renormalize; None if the state collapses."""
+    out = elem.act(state.amps)
     norm = np.linalg.norm(out)
     if norm < 1e-12:
         return None
@@ -144,7 +144,7 @@ def schmidt_preservation_check(
 ) -> Verdict:
     """Does the element keep the (sorted) Schmidt parameters of this state?"""
     before = schmidt_decompose(state, split).params
-    transformed = _transform_raw(elem.to_operator().entries, state)
+    transformed = _transform_raw(elem, state)
     if transformed is None:
         return Verdict(False, "element annihilated the probe state", witness=state.amps)
     after = schmidt_decompose(transformed, split).params
@@ -252,10 +252,9 @@ def check_theorem2_suite(
         raise ValueError("the two-qubit suite only takes 2x2 elements")
     for t in range(trials):
         elem = _trial_element(split, t, rng, elements)
-        mat = elem.to_operator().entries
         for _ in range(20):
             probe = random_maxent_state(2, rng)
-            image = _transform_raw(mat, probe)
+            image = _transform_raw(elem, probe)
             if image is None or classify(image, split) is not Entanglement.MAXIMALLY_ENTANGLED:
                 return Verdict(
                     False, f"trial {t}: element moved a maximally entangled state off the maximal set", probe.amps

@@ -235,6 +235,13 @@ def test_bad_inputs_exit_2(capsys, argv):
     assert "error" in err
 
 
+def test_non_finite_state_exits_2(capsys):
+    code = cli.run(["classify", "--state", "nan,0 0,0 0,0 1,0", "--split", "2x2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "non-finite" in err
+
+
 def test_unknown_command_exits_2(capsys):
     assert cli.run(["no-such-command"]) == 2
     capsys.readouterr()

@@ -135,6 +135,21 @@ def test_apply_swap_element_on_basis():
     assert_allclose(apply_element(elem, ket01, S22).amps, StateVector.basis(4, 0b10).amps)
 
 
+@pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_factored_action_matches_dense_matrix(d1, d2):
+    split = BipartiteSplit(d1, d2)
+    rng = RngStream(12)
+    swaps = set()
+    for _ in range(12):
+        elem = random_m_element(split, rng)
+        swaps.add(elem.swap)
+        state = random_state(split.dim, rng)
+        dense = elem.to_operator().entries @ state.amps
+        assert_allclose(elem.act(state.amps), dense, atol=1e-13)
+        assert_allclose(apply_element(elem, state, split).amps, dense, atol=1e-13)
+    assert swaps == ({False, True} if d1 == d2 else {False})
+
+
 def test_singlet_is_isotropic():
     # V (x) V leaves the odd Bell state alone up to phase
     rng = RngStream(4)

@@ -54,6 +54,14 @@ def test_state_normalized_classmethod():
         StateVector.normalized([0.0, 0.0])
 
 
+@pytest.mark.parametrize("amps", [[np.nan, 0, 0, 0], [np.inf, 0], [1.0, complex(0, -np.inf)]])
+def test_state_rejects_non_finite(amps):
+    with pytest.raises(ValueError, match="non-finite"):
+        StateVector(np.array(amps, dtype=complex))
+    with pytest.raises(ValueError, match="non-finite"):
+        StateVector.normalized(amps)
+
+
 def test_tensor_state_basis():
     out = tensor_state(StateVector.basis(2, 0), StateVector.basis(2, 0))
     assert_allclose(out.amps, [1, 0, 0, 0])
@@ -281,3 +289,9 @@ def test_density_operator_validation():
         DensityOperator(np.eye(2, dtype=complex))  # trace 2
     with pytest.raises(ValueError):
         DensityOperator(np.diag([1.5, -0.5]).astype(complex))  # negative eigenvalue
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_operator_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityOperator(np.array([[bad, 0], [0, 1]], dtype=complex))
