@@ -126,7 +126,7 @@ def _load_state(args) -> tuple[linalg.StateVector, linalg.BipartiteSplit, float]
     amps = _parse_state(_read_state_text(args.state))
     if amps.shape[0] != split.dim:
         raise ValueError(f"state has {amps.shape[0]} amplitudes, split wants {split.dim}")
-    norm = float(np.linalg.norm(amps))
+    norm = float(np.hypot.reduce(np.abs(amps)))  # no overflow or underflow for finite input
     return linalg.StateVector.normalized(amps), split, norm
 
 

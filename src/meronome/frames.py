@@ -262,14 +262,14 @@ def _realign(mat: np.ndarray, split: BipartiteSplit) -> np.ndarray:
 
 
 def _try_product_form(mat: np.ndarray, split: BipartiteSplit, tol: float):
-    """Return (v, w) unitaries with mat ~ phase * v (x) w, or the defect if none."""
+    """((v, w), residual) when unitaries with mat ~ phase * v (x) w reconstruct mat within tol,
+    else (None, residual or, when no factors were formed, the rank-one defect)."""
     d1, d2 = split.d1, split.d2
     p, s, qh = np.linalg.svd(_realign(mat, split))
     # For a unitary, sum(s^2) == d1*d2; rank one in the realigned picture
     # means the top singular value carries all of it.
-    defect = float(max(d1 * d2 - s[0] ** 2, 0.0))
     if s[0] ** 2 < (1.0 - tol) * d1 * d2:
-        return None, defect
+        return None, float(np.sqrt(max(d1 * d2 - s[0] ** 2, 0.0)))
     a_raw = p[:, 0].reshape(d1, d1)
     b_raw = qh[0, :].reshape(d2, d2)
     # Nearest unitaries via the polar decomposition of each factor.
@@ -280,34 +280,32 @@ def _try_product_form(mat: np.ndarray, split: BipartiteSplit, tol: float):
     # Pin v's phase; push the compensating phase into w so v (x) w is unchanged.
     pivot = np.flatnonzero(np.abs(v) > 1e-12)[0]
     phase = v.flat[pivot] / abs(v.flat[pivot])
-    return (Operator(v / phase), Operator(w * phase)), defect
+    v, w = v / phase, w * phase
+    residual = distance_up_to_phase(mat, np.kron(v, w))
+    return ((Operator(v), Operator(w)) if residual <= tol else None), residual
 
 
 def factor_as_local(u: Operator, split: BipartiteSplit, tol: float = 1e-8) -> MembershipResult:
     """Decide whether a unitary preserves the given decomposition.
 
     Local means u = phase * v (x) w; SwapLocal means u = phase * (v (x) w) * swap
-    (only possible for d1 == d2).  Anything else is NotMember.
+    (only possible for d1 == d2), each only when the factors reconstruct u
+    up to phase with residual <= tol.  Anything else is NotMember.
     """
     if u.dim != split.dim:
         raise ValueError(f"operator dim {u.dim} does not match split {split.d1}x{split.d2}")
     if not u.is_unitary(max(tol, TOL_ALGEBRA)):
         raise ValueError("membership test requires a unitary input")
 
-    factors, defect = _try_product_form(u.entries, split, tol)
-    if factors is not None:
-        v, w = factors
-        residual = distance_up_to_phase(u.entries, np.kron(v.entries, w.entries))
-        return MembershipResult(Membership.LOCAL, (v, w), residual)
-
-    best = np.sqrt(defect)
+    branches = [(Membership.LOCAL, u.entries)]
     if split.d1 == split.d2:
-        swap = swap_operator(split.d1).entries
-        factors, swap_defect = _try_product_form(u.entries @ swap, split, tol)
+        # u @ swap: column (a, b) of the product is column (b, a) of u.
+        swapped = u.entries.reshape(u.dim, split.d1, split.d1).transpose(0, 2, 1).reshape(u.dim, u.dim)
+        branches.append((Membership.SWAP_LOCAL, swapped))
+    best = np.inf
+    for verdict, mat in branches:
+        factors, residual = _try_product_form(mat, split, tol)
         if factors is not None:
-            v, w = factors
-            residual = distance_up_to_phase(u.entries, np.kron(v.entries, w.entries) @ swap)
-            return MembershipResult(Membership.SWAP_LOCAL, (v, w), residual)
-        best = min(best, np.sqrt(swap_defect))
-
+            return MembershipResult(verdict, factors, residual)
+        best = min(best, residual)
     return MembershipResult(Membership.NOT_MEMBER, None, float(best))

@@ -85,14 +85,15 @@ class StateVector:
 
     @classmethod
     def normalized(cls, values) -> "StateVector":
-        """Build a state from arbitrary amplitudes after scaling to unit norm."""
+        """Build a state from any finite nonzero amplitudes: divide by the largest modulus, then by the norm."""
         arr = _as_complex_vector(values)
-        norm = np.linalg.norm(arr)
-        if not math.isfinite(norm):
-            raise ValueError(f"cannot normalize amplitudes with non-finite norm {norm}")
-        if norm < 1e-12:
-            raise ValueError("cannot normalize a (near-)zero amplitude vector")
-        return cls(arr / norm)
+        scale = float(np.abs(arr).max(initial=0.0))
+        if not math.isfinite(scale):
+            raise ValueError(f"cannot normalize amplitudes with non-finite norm {scale}")
+        if scale == 0.0:
+            raise ValueError("cannot normalize a zero amplitude vector")
+        arr = arr / scale
+        return cls(arr / np.linalg.norm(arr))
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "StateVector":

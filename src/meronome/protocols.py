@@ -27,7 +27,7 @@ from .linalg import (
     permute_subsystems,
     tensor_state,
 )
-from .sampling import RngStream, random_m_element, random_maxent_state, random_state, sample_m_batch
+from .sampling import RngStream, random_m_element, random_maxent_state, random_state, sample_m_chunks
 
 _DIM_CAP = 4096  # dense operators and joint vectors stay cheap below this
 
@@ -150,6 +150,14 @@ class LambdaEstimate:
         return cls(shots=shots, hits=hits, p_hat=p_hat, lambda_hat=lambda_hat)
 
 
+def _hit_probabilities(det_phi: complex, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per shot |<Lambda| phi' (x) phi'>|^2 = |det v * det Phi * det w|^2, the overlap being det Phi' of
+    the disguised amplitude matrix Phi' = v Phi w^T; a swap transposes Phi and keeps its determinant."""
+    det_v = v[:, 0, 0] * v[:, 1, 1] - v[:, 0, 1] * v[:, 1, 0]
+    det_w = w[:, 0, 0] * w[:, 1, 1] - w[:, 0, 1] * w[:, 1, 0]
+    return np.abs(det_v * det_phi * det_w) ** 2
+
+
 def sample_lambda_measurement(lam: float, shots: int, rng: RngStream) -> LambdaEstimate:
     """Estimate the smaller Schmidt parameter of sqrt(lam)|00> + sqrt(1-lam)|11>.
 
@@ -162,16 +170,10 @@ def sample_lambda_measurement(lam: float, shots: int, rng: RngStream) -> LambdaE
         raise ValueError(f"lam must lie in [0, 0.5], got {lam}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    lam_tensor = lambda_state().amps.reshape(2, 2, 2, 2).conj()
-    phi = np.diag([math.sqrt(lam), math.sqrt(1.0 - lam)]).astype(np.complex128)
-
-    v, w, swaps = sample_m_batch(BipartiteSplit(2, 2), shots, rng)
-    base = np.where(swaps[:, None, None], phi.T[None, :, :], phi[None, :, :])
-    disguised = np.einsum("nai,nij,nbj->nab", v, base, w)
-    amps = np.einsum("abcd,nab,ncd->n", lam_tensor, disguised, disguised)
-    probs = np.abs(amps) ** 2
-
-    hits = int((rng.generator.random(shots) < probs).sum())
+    det_phi = math.sqrt(lam) * math.sqrt(1.0 - lam)  # Phi = diag(sqrt(lam), sqrt(1 - lam))
+    hits = 0
+    for v, w, _ in sample_m_chunks(BipartiteSplit(2, 2), shots, rng):
+        hits += int((rng.generator.random(len(v)) < _hit_probabilities(det_phi, v, w)).sum())
     return LambdaEstimate.from_hits(shots, hits)
 
 
@@ -287,19 +289,22 @@ def sym_span_analysis(samples: int, rng: RngStream) -> SymSpanReport:
     )
 
 
+@lru_cache(maxsize=None)
 def tau_states() -> tuple[DensityOperator, DensityOperator]:
     """The two perfectly distinguishable four-qubit pairing signals.
 
     The first state puts a singlet across qubits (1,3) and the uniform
     symmetric mixture across (2,4); the second swaps the two roles.  Both
     are invariant under duplicated ordered elements v (x) w (x) v (x) w, and
-    their supports are orthogonal.
+    their supports are orthogonal.  Built once; the entries are read-only.
     """
     singlet_rho = DensityOperator.from_state(_singlet()).entries
     sym_mix = _sym_projector_cached(2, 2) / 3.0
     interleave = permutation_operator((2, 2, 2, 2), _PAIR_INTERLEAVE).entries
     tau = interleave @ np.kron(singlet_rho, sym_mix) @ interleave.T
     tau_prime = interleave @ np.kron(sym_mix, singlet_rho) @ interleave.T
+    for mat in (tau, tau_prime):
+        mat.setflags(write=False)
     return DensityOperator(tau), DensityOperator(tau_prime)
 
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .frames import MeronomicElement, swap_operator
+from .frames import MeronomicElement
 from .linalg import BipartiteSplit, DensityOperator, Operator, StateVector
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -48,9 +48,9 @@ class RngStream:
 def haar_unitary_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
     """Stack of `count` Haar-distributed dim x dim unitaries, shape (count, dim, dim).
 
-    Ginibre matrix -> QR -> rescale each column by the phase of the matching
-    diagonal entry of R, which corrects the QR sign convention and makes the
-    distribution exactly Haar.
+    Ginibre matrix -> the Q of its QR with positive real diag(R), which is exactly
+    Haar: up to dim 3 by modified Gram-Schmidt on the columns (several times
+    faster), from dim 4 on by batched QR with columns rephased by diag(R).
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
@@ -58,6 +58,14 @@ def haar_unitary_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
         raise ValueError(f"count must be >= 0, got {count}")
     g = rng.generator
     z = (g.standard_normal((count, dim, dim)) + 1j * g.standard_normal((count, dim, dim))) * _INV_SQRT2
+    if dim <= 3:
+        for j in range(dim):
+            col = z[:, :, j]
+            for k in range(j):
+                q = z[:, :, k]
+                col -= q * (q.conj() * col).sum(axis=1, keepdims=True)
+            col /= np.linalg.norm(col, axis=1, keepdims=True)
+        return z
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[:, None, :]
@@ -93,19 +101,24 @@ def random_maxent_state(d: int, rng: RngStream) -> StateVector:
     return StateVector((v @ diag @ w.T).reshape(-1))
 
 
-def sample_m_batch(split: BipartiteSplit, count: int, rng: RngStream):
-    """Raw arrays for `count` group samples: (v stack, w stack, swap flags).
+_CHUNK = 4096  # group samples per batch: bounds memory, and is part of the stream layout
 
-    Draw order is fixed (all v, then all w, then swap bits) so that a batch
-    of one consumes the stream exactly like random_m_element.
+
+def sample_m_chunks(split: BipartiteSplit, n: int, rng: RngStream):
+    """Yield raw arrays (v stack, w stack, swap flags) for n group samples, at most _CHUNK at a time.
+
+    Each batch draws all v, then all w, then swap bits, and only when requested,
+    so what a caller draws between batches sits between them in the stream.
     """
-    v = haar_unitary_batch(split.d1, count, rng)
-    w = haar_unitary_batch(split.d2, count, rng)
-    if split.d1 == split.d2:
-        swaps = rng.generator.integers(0, 2, size=count).astype(bool)
-    else:
-        swaps = np.zeros(count, dtype=bool)
-    return v, w, swaps
+    for start in range(0, n, _CHUNK):
+        m = min(_CHUNK, n - start)
+        v = haar_unitary_batch(split.d1, m, rng)
+        w = haar_unitary_batch(split.d2, m, rng)
+        if split.d1 == split.d2:
+            swaps = rng.generator.integers(0, 2, size=m).astype(bool)
+        else:
+            swaps = np.zeros(m, dtype=bool)
+        yield v, w, swaps
 
 
 def random_m_element(split: BipartiteSplit, rng: RngStream) -> MeronomicElement:
@@ -114,7 +127,7 @@ def random_m_element(split: BipartiteSplit, rng: RngStream) -> MeronomicElement:
     Both factors are independent Haar unitaries; for square splits the swap
     is included with probability 1/2, otherwise never.
     """
-    v, w, swaps = sample_m_batch(split, 1, rng)
+    v, w, swaps = next(sample_m_chunks(split, 1, rng))
     return MeronomicElement(Operator(v[0]), Operator(w[0]), bool(swaps[0]))
 
 
@@ -127,9 +140,6 @@ def exact_twirl(split: BipartiteSplit) -> DensityOperator:
     return DensityOperator.maximally_mixed(split.dim)
 
 
-_TWIRL_CHUNK = 4096
-
-
 def twirl_monte_carlo(
     rho: DensityOperator,
     split: BipartiteSplit,
@@ -138,26 +148,26 @@ def twirl_monte_carlo(
 ) -> DensityOperator:
     """Monte Carlo estimate of the group twirl of rho from n random elements.
 
-    Samples are drawn and accumulated in a fixed chunked order, so the
-    result is a bit-reproducible function of the seed alone.  The average
-    is renormalized to unit trace and symmetrized before wrapping.
+    Each element maps the factors c_k of rho = sum_k c_k c_k^dag (eigenvalues
+    above roundoff) to v C_k w^T, or v C_k^T w^T when swapped.  Samples are
+    drawn and accumulated in a fixed chunked order, so the result is a
+    bit-reproducible function of the seed alone.  The average is renormalized
+    to unit trace and symmetrized before wrapping.
     """
     if rho.dim != split.dim:
         raise ValueError(f"operator dim {rho.dim} does not match split {split.d1}x{split.d2}")
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
-    swap_mat = swap_operator(split.d1).entries if split.d1 == split.d2 else None
+    values, vectors = np.linalg.eigh(rho.entries)
+    keep = values > 1e-14 * values[-1]
+    c_mats = (vectors[:, keep] * np.sqrt(values[keep])).T.reshape(-1, split.d1, split.d2)
     acc = np.zeros((split.dim, split.dim), dtype=np.complex128)
-    remaining = n
-    while remaining > 0:
-        m = min(_TWIRL_CHUNK, remaining)
-        v, w, swaps = sample_m_batch(split, m, rng)
-        u = np.einsum("nab,ncd->nacbd", v, w).reshape(m, split.dim, split.dim)
-        if swap_mat is not None and swaps.any():
-            u[swaps] = u[swaps] @ swap_mat
-        rotated = u @ rho.entries
-        acc += np.einsum("nij,nlj->il", rotated, u.conj(), optimize=True)
-        remaining -= m
+    for v, w, swaps in sample_m_chunks(split, n, rng):
+        for c in c_mats:
+            if swaps.any():
+                c = np.where(swaps[:, None, None], c.T, c)
+            x = (v @ c @ w.transpose(0, 2, 1)).reshape(len(v), split.dim)
+            acc += x.T @ x.conj()
     avg = acc / n
     avg = (avg + avg.conj().T) / 2.0
     avg = avg / avg.trace().real

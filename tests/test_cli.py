@@ -242,6 +242,15 @@ def test_non_finite_state_exits_2(capsys):
     assert "non-finite" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e308, 1e-200])
+def test_extreme_but_finite_state_scales(capsys, scale):
+    code, payload, _ = _run_json(capsys, ["classify", "--state", f"{scale},0 0,0 0,0 0,{scale}", "--split", "2x2"])
+    assert code == 0
+    assert payload["result"]["classification"] == "MaximallyEntangled"
+    assert payload["result"]["input_norm"] == pytest.approx(math.sqrt(2.0) * scale, rel=1e-12)
+
+
 def test_unknown_command_exits_2(capsys):
     assert cli.run(["no-such-command"]) == 2
     capsys.readouterr()

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from meronome.frames import (
@@ -271,6 +273,29 @@ def test_factor_constructed_members():
             if elem.swap:
                 recon = recon @ swap_operator(split.d1).entries
             assert distance_up_to_phase(elem.to_operator().entries, recon) < 1e-8
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_eps=st.floats(-9.0, -2.0),
+    shape=st.sampled_from([(2, 2, False), (2, 2, True), (2, 3, False)]),
+    tol=st.sampled_from([1e-8, 1e-6]),
+)
+def test_member_verdict_means_residual_within_tol(seed, log_eps, shape, tol):
+    # A group element kicked off the group by exp(i eps H): whatever the
+    # verdict, it must agree with the residual it reports.
+    d1, d2, swap = shape
+    rng = RngStream(seed)
+    elem = MeronomicElement(haar_unitary(d1, rng), haar_unitary(d2, rng), swap)
+    g = rng.generator
+    a = g.standard_normal((d1 * d2,) * 2) + 1j * g.standard_normal((d1 * d2,) * 2)
+    values, vectors = np.linalg.eigh(a + a.conj().T)
+    kick = (vectors * np.exp(1j * 10**log_eps * values)) @ vectors.conj().T
+    result = factor_as_local(Operator(elem.to_operator().entries @ kick), BipartiteSplit(d1, d2), tol)
+    if result.verdict is Membership.NOT_MEMBER:
+        assert result.residual > tol
+    else:
+        assert result.residual <= tol
 
 
 def test_factor_swap_matrix():

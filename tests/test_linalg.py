@@ -54,6 +54,17 @@ def test_state_normalized_classmethod():
         StateVector.normalized([0.0, 0.0])
 
 
+@pytest.mark.filterwarnings("error")
+def test_state_normalized_huge_finite_amplitudes():
+    s = StateVector.normalized([1e308, -1e308j])
+    assert_allclose(s.amps, [ISQ2, -1j * ISQ2])
+
+
+def test_state_normalized_tiny_amplitudes():
+    s = StateVector.normalized([1e-200, 0.0, 1e-200])
+    assert_allclose(s.amps, [ISQ2, 0.0, ISQ2])
+
+
 @pytest.mark.parametrize("amps", [[np.nan, 0, 0, 0], [np.inf, 0], [1.0, complex(0, -np.inf)]])
 def test_state_rejects_non_finite(amps):
     with pytest.raises(ValueError, match="non-finite"):

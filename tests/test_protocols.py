@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from meronome.linalg import (
 )
 from meronome.protocols import (
     OrderingVerdict,
+    _hit_probabilities,
     duplicate_state,
     duplicated_element_operator,
     lambda_effect_probability,
@@ -28,7 +30,7 @@ from meronome.protocols import (
     sym_span_analysis,
     tau_states,
 )
-from meronome.sampling import RngStream, random_m_element, random_state
+from meronome.sampling import RngStream, random_m_element, random_state, sample_m_chunks
 
 S22 = BipartiteSplit(2, 2)
 
@@ -146,6 +148,45 @@ def test_sample_lambda_estimates(lam):
     assert abs(est.p_hat - p) < 4 * sigma
     assert abs(est.lambda_hat - lam) < 0.02
     assert est.shots == shots and est.hits == round(est.p_hat * shots)
+
+
+def test_hit_probabilities_match_lambda_overlap():
+    # Oracle: the explicit <Lambda| phi' (x) phi'> contraction per shot, with
+    # a non-symmetric Phi so that the swap bit changes the disguised state.
+    v, w, swaps = next(sample_m_chunks(S22, 64, RngStream(31)))
+    assert swaps.any() and not swaps.all()
+    g = RngStream(32).generator
+    phi = g.standard_normal((2, 2)) + 1j * g.standard_normal((2, 2))
+    phi /= np.linalg.norm(phi)
+    base = np.where(swaps[:, None, None], phi.T, phi)
+    disguised = np.einsum("nai,nij,nbj->nab", v, base, w)
+    lam_tensor = lambda_state().amps.reshape(2, 2, 2, 2).conj()
+    oracle = np.abs(np.einsum("abcd,nab,ncd->n", lam_tensor, disguised, disguised)) ** 2
+    assert np.abs(_hit_probabilities(np.linalg.det(phi), v, w) - oracle).max() < 1e-12
+
+
+def test_sample_lambda_memory_is_bounded_in_shots():
+    sample_lambda_measurement(0.25, 10, RngStream(3))  # first-call allocations are not per shot
+    peaks = []
+    for shots in (40_000, 160_000):
+        tracemalloc.start()
+        try:
+            sample_lambda_measurement(0.25, shots, RngStream(3))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * max(peaks), peaks
+    assert max(peaks) < 4 * 2**20, peaks
+
+
+def test_sample_lambda_binomial_coverage():
+    # The grid that scripts/lambda_sweep.py walks by default, seeds 0..10.
+    shots = 50_000
+    for i in range(11):
+        lam = 0.5 * i / 10
+        est = sample_lambda_measurement(lam, shots, RngStream(i))
+        p = lam * (1 - lam)
+        assert abs(est.p_hat - p) <= 5 * math.sqrt(p * (1 - p) / shots), (lam, est)
 
 
 def test_sample_lambda_reproducible():

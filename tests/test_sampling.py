@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from meronome.frames import Entanglement, classify, schmidt_decompose
-from meronome.linalg import BipartiteSplit, DensityOperator, StateVector
+from meronome.frames import Entanglement, MeronomicElement, classify, schmidt_decompose
+from meronome.linalg import BipartiteSplit, DensityOperator, Operator, StateVector
 from meronome.sampling import (
     RngStream,
     exact_twirl,
@@ -13,6 +13,7 @@ from meronome.sampling import (
     random_maxent_state,
     random_product_state,
     random_state,
+    sample_m_chunks,
     twirl_monte_carlo,
 )
 
@@ -82,6 +83,34 @@ def test_haar_first_moment():
     samples = np.abs(batch[:, 0, 0]) ** 2
     se = samples.std() / np.sqrt(n)
     assert abs(samples.mean() - 0.5) < 4 * se
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_haar_second_moment(dim):
+    # E|tr U|^4 = 2 for Haar at every d >= 2.  First moments cannot see a
+    # wrong phase convention: QR without the diag(R) rephasing gives about
+    # 3.0 at d=2 and 4.1 at d=3.
+    rng = RngStream(17)
+    traces = np.concatenate([np.trace(haar_unitary_batch(dim, 50_000, rng), axis1=1, axis2=2) for _ in range(8)])
+    samples = np.abs(traces) ** 4
+    se = samples.std() / np.sqrt(samples.size)
+    assert abs(samples.mean() - 2.0) < 5 * se
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_gram_schmidt_haar_is_qr_of_the_same_draws(dim):
+    # 2e5 draws in batches; the oracle is LAPACK QR of the same Ginibre
+    # matrices with columns rephased so that diag(R) is positive.
+    rng, oracle_rng = RngStream(21), RngStream(21)
+    for _ in range(4):
+        u = haar_unitary_batch(dim, 50_000, rng)
+        gram = np.einsum("nki,nkj->nij", u.conj(), u)
+        assert np.abs(gram - np.eye(dim)).max() < 1e-12
+        g = oracle_rng.generator
+        z = (g.standard_normal((50_000, dim, dim)) + 1j * g.standard_normal((50_000, dim, dim))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        diag = np.diagonal(r, axis1=1, axis2=2)
+        assert np.abs(u - q * (diag / np.abs(diag))[:, None, :]).max() < 1e-11
 
 
 def test_haar_batch_validation():
@@ -160,6 +189,29 @@ def test_twirl_single_sample_matches_manual():
     u = elem.to_operator().entries
     manual = u @ rho.entries @ u.conj().T
     assert np.abs(est.entries - manual).max() < 1e-13
+
+
+def _dense_twirl(rho: DensityOperator, split: BipartiteSplit, n: int, rng: RngStream) -> np.ndarray:
+    """Reference twirl: sum of u rho u^dag with each element's full matrix, same draws."""
+    acc = np.zeros((split.dim, split.dim), dtype=complex)
+    for v, w, swaps in sample_m_chunks(split, n, rng):
+        for vi, wi, si in zip(v, w, swaps):
+            u = MeronomicElement(Operator(vi), Operator(wi), bool(si)).to_operator().entries
+            acc += u @ rho.entries @ u.conj().T
+    avg = acc / n
+    avg = (avg + avg.conj().T) / 2.0
+    return avg / avg.trace().real
+
+
+@pytest.mark.parametrize("split", [S23, BipartiteSplit(3, 3)], ids=["2x3", "3x3"])
+@pytest.mark.parametrize("rank", [1, 2, None], ids=["pure", "rank2", "full"])
+def test_factored_twirl_matches_dense_oracle(split, rank):
+    g = RngStream(13).generator
+    z = g.standard_normal((split.dim, rank or split.dim)) + 1j * g.standard_normal((split.dim, rank or split.dim))
+    a = z @ z.conj().T
+    rho = DensityOperator(a / a.trace().real)
+    est = twirl_monte_carlo(rho, split, 300, RngStream(14))
+    assert np.abs(est.entries - _dense_twirl(rho, split, 300, RngStream(14))).max() < 1e-13
 
 
 def test_twirl_reproducible():
