@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,47 +22,16 @@ import numpy as np
 from . import frames, linalg, protocols, sampling, theorems
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Global knobs shared by every subcommand."""
-
-    seed: int = 0
-    tol: float = 1e-10
-    fmt: str = "json"
-    out: str | None = None
-    workers: int = 1
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError(f"--tol must be positive, got {self.tol}")
-        if self.workers < 1:
-            raise ValueError(f"--workers must be >= 1, got {self.workers}")
-
-
-def _jsonify(value):
+def _json_default(value):
+    """Enums by value, dataclasses by field, complex as [re, im], numpy through tolist()."""
     if isinstance(value, enum.Enum):
         return value.value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _jsonify(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        out = float(value)
-        if not math.isfinite(out):
-            raise ValueError(f"refusing to emit non-finite value {out}")
-        return out
-    if isinstance(value, (complex, np.complexfloating)):
-        return [_jsonify(value.real), _jsonify(value.imag)]
-    if isinstance(value, np.ndarray):
-        return _jsonify(value.tolist())
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if value is None or isinstance(value, str):
-        return value
+    if dataclasses.is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -78,20 +46,15 @@ def _flatten(value, prefix=""):
         yield prefix, value
 
 
-def _emit(payload: dict, config: RunConfig) -> None:
-    if config.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        for key, value in _flatten(payload):
-            writer.writerow([key, value])
-        text = buf.getvalue()
-    else:
-        text = json.dumps(payload, indent=2) + "\n"
-    if config.out:
-        Path(config.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _render(payload: dict, fmt: str) -> str:
+    """JSON, or key,value CSV rows flattened from that JSON; a non-finite float raises ValueError."""
+    text = json.dumps(payload, indent=2, default=_json_default, allow_nan=False) + "\n"
+    if fmt == "json":
+        return text
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerows([("key", "value"), *_flatten(json.loads(text))])
+    return buf.getvalue()
 
 
 def _read_state_text(spec: str) -> str:
@@ -126,27 +89,30 @@ def _load_state(args) -> tuple[linalg.StateVector, linalg.BipartiteSplit, float]
     amps = _parse_state(_read_state_text(args.state))
     if amps.shape[0] != split.dim:
         raise ValueError(f"state has {amps.shape[0]} amplitudes, split wants {split.dim}")
-    norm = float(np.hypot.reduce(np.abs(amps)))  # no overflow or underflow for finite input
+    with np.errstate(over="ignore"):
+        norm = float(np.hypot.reduce(np.abs(amps)))  # no underflow; overflows only past the float range
+    if math.isinf(norm) and np.isfinite(amps).all():
+        raise ValueError(f"state norm exceeds the largest float ({sys.float_info.max:.6g}); rescale the amplitudes")
     return linalg.StateVector.normalized(amps), split, norm
 
 
 # ---------------------------------------------------------------- handlers
 
-def _cmd_schmidt(args, config: RunConfig):
+def _cmd_schmidt(args):
     state, split, norm = _load_state(args)
     dec = frames.schmidt_decompose(state, split)
     err = float(np.linalg.norm(dec.reconstruct().amps - state.amps))
     return {"input_norm": norm, "params": dec.params, "reconstruction_error": err}, False
 
 
-def _cmd_classify(args, config: RunConfig):
+def _cmd_classify(args):
     state, split, norm = _load_state(args)
     dec = frames.schmidt_decompose(state, split)
-    cls = frames.classify(state, split, config.tol)
+    cls = frames.classify(state, split, args.tol)
     return {"input_norm": norm, "classification": cls, "params": dec.params}, False
 
 
-def _cmd_frame(args, config: RunConfig):
+def _cmd_frame(args):
     if args.kind == "bell":
         u = frames.bell_frame_unitary()
         result = {"kind": "bell"}
@@ -160,7 +126,7 @@ def _cmd_frame(args, config: RunConfig):
     return result, False
 
 
-def _cmd_pauli_table(args, config: RunConfig):
+def _cmd_pauli_table(args):
     bell = frames.bell_frame_unitary().entries
     entries = []
     max_defect = 0.0
@@ -185,28 +151,21 @@ def _partial_maxent(split: linalg.BipartiteSplit) -> linalg.DensityOperator:
 
 
 def _shards(total: int, workers: int, rng: sampling.RngStream) -> list[tuple[int, sampling.RngStream]]:
-    """(share, stream) pairs: all of `total` on `rng` for one worker, else near-equal
-    shares (the first `total % workers` one larger) on split sub-streams."""
+    """(share, stream) pairs: all on `rng` for one worker, else near-equal shares on split sub-streams."""
     if workers == 1:
         return [(total, rng)]
     base, extra = divmod(total, workers)
     return [(base + (i < extra), child) for i, child in enumerate(rng.split(workers))]
 
 
-def _cmd_twirl(args, config: RunConfig):
-    if args.samples < 1:
-        raise ValueError("--samples must be >= 1")
+def _cmd_twirl(args):
     split = _parse_split(args.split)
     rho = _partial_maxent(split)
-    rng = sampling.RngStream(config.seed)
-    if config.workers == 1:
-        est = sampling.twirl_monte_carlo(rho, split, args.samples, rng)
-    else:
-        acc = np.zeros((split.dim, split.dim), dtype=np.complex128)
-        for share, child in _shards(args.samples, config.workers, rng):
-            if share:
-                acc += share * sampling.twirl_monte_carlo(rho, split, share, child).entries
-        est = linalg.DensityOperator(acc / args.samples)
+    acc = np.zeros((split.dim, split.dim), dtype=np.complex128)
+    for share, stream in _shards(args.samples, args.workers, sampling.RngStream(args.seed)):
+        if share:
+            acc += share * sampling.twirl_monte_carlo(rho, split, share, stream).entries
+    est = linalg.DensityOperator(acc / args.samples)
     dist = float(np.linalg.norm(est.entries - sampling.exact_twirl(split).entries))
     return {
         "samples": args.samples,
@@ -215,10 +174,10 @@ def _cmd_twirl(args, config: RunConfig):
     }, False
 
 
-def _cmd_superdense(args, config: RunConfig):
-    if args.dim < 2 or args.trials < 1:
-        raise ValueError("--dim must be >= 2 and --trials >= 1")
-    rng = sampling.RngStream(config.seed)
+def _cmd_superdense(args):
+    if args.dim < 2:
+        raise ValueError("--dim must be >= 2")
+    rng = sampling.RngStream(args.seed)
     successes = 0
     max_signal_overlap = 0.0
     for _ in range(args.trials):
@@ -238,11 +197,11 @@ def _cmd_superdense(args, config: RunConfig):
     }, False
 
 
-def _cmd_lambda(args, config: RunConfig):
+def _cmd_lambda(args):
     lam = getattr(args, "lambda")
-    if args.shots < config.workers:
+    if args.shots < args.workers:
         raise ValueError("--shots must be >= --workers")
-    shards = _shards(args.shots, config.workers, sampling.RngStream(config.seed))
+    shards = _shards(args.shots, args.workers, sampling.RngStream(args.seed))
     hits = sum(protocols.sample_lambda_measurement(lam, share, stream).hits for share, stream in shards)
     est = protocols.LambdaEstimate.from_hits(args.shots, hits)
     expected = lam * (1.0 - lam)
@@ -255,10 +214,10 @@ def _cmd_lambda(args, config: RunConfig):
     }, False
 
 
-def _cmd_refframe(args, config: RunConfig):
+def _cmd_refframe(args):
     if args.dim < 2:
         raise ValueError("--dim must be >= 2")
-    rng = sampling.RngStream(config.seed)
+    rng = sampling.RngStream(args.seed)
     psi = sampling.random_state(args.dim, rng)
     phi = sampling.random_state(args.dim, rng)
     p_sym = protocols.measure_sym_subspace(psi, phi, args.n)
@@ -281,7 +240,7 @@ def _cmd_refframe(args, config: RunConfig):
     }, False
 
 
-def _cmd_ordering(args, config: RunConfig):
+def _cmd_ordering(args):
     tau, tau_prime = protocols.tau_states()
     overlap = float(np.trace(tau.entries @ tau_prime.entries).real)
     mixture = linalg.DensityOperator((tau.entries + tau_prime.entries) / 2.0)
@@ -293,8 +252,8 @@ def _cmd_ordering(args, config: RunConfig):
     }, False
 
 
-def _cmd_symspan(args, config: RunConfig):
-    return protocols.sym_span_analysis(args.samples, sampling.RngStream(config.seed)), False
+def _cmd_symspan(args):
+    return protocols.sym_span_analysis(args.samples, sampling.RngStream(args.seed)), False
 
 
 _SUITES = {
@@ -304,10 +263,8 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args, config: RunConfig):
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
-    verdict = _SUITES[args.suite](args.trials, sampling.RngStream(config.seed))
+def _cmd_verify(args):
+    verdict = _SUITES[args.suite](args.trials, sampling.RngStream(args.seed))
     result = {
         "suite": args.suite,
         "trials": args.trials,
@@ -320,65 +277,81 @@ def _cmd_verify(args, config: RunConfig):
 
 # ---------------------------------------------------------------- parser
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    common.add_argument("--tol", type=float, default=1e-10, help="numerical tolerance (default 1e-10)")
-    common.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
-    common.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    common.add_argument("--workers", type=int, default=1, help="sub-streams for shot loops (1 = reference)")
+    # Each option goes only on the subcommands that read it: config echoes no value that was never applied.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
+    output.add_argument("--out", default=None, help="write output to this path instead of stdout")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[output])
+    seeded.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    sharded = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    sharded.add_argument("--workers", type=_count, default=1, help="random sub-streams for the shot loop (default 1)")
+    state_input = argparse.ArgumentParser(add_help=False, parents=[output])
+    state_input.add_argument("--state", required=True, help="re,im amplitude pairs; @file or - for stdin")
+    state_input.add_argument("--split", required=True, help="bipartition as d1xd2")
 
     parser = argparse.ArgumentParser(prog="meronome", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    state_input = argparse.ArgumentParser(add_help=False)
-    state_input.add_argument("--state", required=True, help="re,im amplitude pairs; @file or - for stdin")
-    state_input.add_argument("--split", required=True, help="bipartition as d1xd2")
-
-    p = sub.add_parser("schmidt", parents=[common, state_input], help="Schmidt parameters of a state")
+    p = sub.add_parser("schmidt", parents=[state_input], help="Schmidt parameters of a state")
     p.set_defaults(handler=_cmd_schmidt)
 
-    p = sub.add_parser("classify", parents=[common, state_input], help="entanglement class of a state")
+    p = sub.add_parser("classify", parents=[state_input], help="entanglement class of a state")
+    p.add_argument("--tol", type=_positive_float, default=linalg.TOL_ALGEBRA, help="tolerance (default %(default)g)")
     p.set_defaults(handler=_cmd_classify)
 
-    p = sub.add_parser("frame", parents=[common], help="frame-change unitaries")
+    p = sub.add_parser("frame", parents=[output], help="frame-change unitaries")
     p.add_argument("kind", choices=("bell", "theta"))
     p.add_argument("--theta", type=float, default=None)
     p.set_defaults(handler=_cmd_frame)
 
-    p = sub.add_parser("pauli-table", parents=[common], help="Bell-frame Pauli dictionary")
+    p = sub.add_parser("pauli-table", parents=[output], help="Bell-frame Pauli dictionary")
     p.set_defaults(handler=_cmd_pauli_table)
 
-    p = sub.add_parser("twirl", parents=[common], help="Monte Carlo group twirl")
-    p.add_argument("--samples", type=int, required=True)
+    p = sub.add_parser("twirl", parents=[sharded], help="Monte Carlo group twirl")
+    p.add_argument("--samples", type=_count, required=True)
     p.add_argument("--split", default="2x2", help="bipartition as d1xd2 (default 2x2)")
     p.set_defaults(handler=_cmd_twirl)
 
-    p = sub.add_parser("superdense", parents=[common], help="frame-independent one-bit signaling")
+    p = sub.add_parser("superdense", parents=[seeded], help="frame-independent one-bit signaling")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_count, required=True)
     p.set_defaults(handler=_cmd_superdense)
 
-    p = sub.add_parser("lambda", parents=[common], help="Schmidt-parameter estimation from the invariant effect")
+    p = sub.add_parser("lambda", parents=[sharded], help="Schmidt-parameter estimation from the invariant effect")
     p.add_argument("--lambda", type=float, required=True, help="smaller Schmidt parameter in [0, 0.5]")
     p.add_argument("--shots", type=int, required=True)
     p.set_defaults(handler=_cmd_lambda)
 
-    p = sub.add_parser("refframe", parents=[common], help="symmetric-subspace reference measurement")
+    p = sub.add_parser("refframe", parents=[seeded], help="symmetric-subspace reference measurement")
     p.add_argument("--n", type=int, required=True, help="number of reference copies")
     p.add_argument("--dim", type=int, required=True)
     p.set_defaults(handler=_cmd_refframe)
 
-    p = sub.add_parser("ordering", parents=[common], help="pair-ordering discrimination signals")
+    p = sub.add_parser("ordering", parents=[output], help="pair-ordering discrimination signals")
     p.set_defaults(handler=_cmd_ordering)
 
-    p = sub.add_parser("symspan", parents=[common], help="span of duplicated states in the symmetric subspace")
+    p = sub.add_parser("symspan", parents=[seeded], help="span of duplicated states in the symmetric subspace")
     p.add_argument("--samples", type=int, required=True)
     p.set_defaults(handler=_cmd_symspan)
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p = sub.add_parser("verify", parents=[seeded], help="run a verification suite")
     p.add_argument("--suite", choices=tuple(_SUITES), required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_count, required=True)
     p.set_defaults(handler=_cmd_verify)
 
     return parser
@@ -390,29 +363,21 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        config = RunConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)})
-    except ValueError as exc:
-        print(f"meronome: error: {exc}", file=sys.stderr)
-        return 2
 
-    echo = {k: v for k, v in vars(args).items() if k != "command" and not callable(v)}
+    config = {k: v for k, v in vars(args).items() if k != "command" and not callable(v)}
     started = time.perf_counter()
     try:
-        result, failed = args.handler(args, config)
+        result, failed = args.handler(args)
+        elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
+        text = _render({"command": args.command, "config": config, "result": result, "elapsed_ms": elapsed_ms}, args.fmt)
     except ValueError as exc:
         print(parser.format_usage(), file=sys.stderr, end="")
         print(f"meronome: error: {exc}", file=sys.stderr)
         return 2
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-
-    payload = {
-        "command": args.command,
-        "config": _jsonify(echo),
-        "result": _jsonify(result),
-        "elapsed_ms": round(elapsed_ms, 3),
-    }
-    _emit(payload, config)
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
     return 1 if failed else 0
 
 

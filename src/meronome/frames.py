@@ -65,6 +65,11 @@ def swap_operator(d: int) -> Operator:
     return permutation_operator([d, d], (1, 0))
 
 
+def _times_swap(mat: np.ndarray, d: int) -> np.ndarray:
+    """mat @ swap_operator(d) without the matrix: column (a, b) of the product is column (b, a) of mat."""
+    return mat.reshape(mat.shape[0], d, d).transpose(0, 2, 1).reshape(mat.shape)
+
+
 @dataclass(frozen=True, eq=False)
 class MeronomicElement:
     """One decomposition-preserving unitary: (v (x) w) then optionally the factor swap.
@@ -104,9 +109,7 @@ class MeronomicElement:
     def to_operator(self) -> Operator:
         """The full matrix (v (x) w) * swap, for membership tests that need it whole."""
         mat = kron(self.v, self.w)
-        if self.swap:
-            mat = mat @ swap_operator(self.v.dim)
-        return mat
+        return Operator(_times_swap(mat.entries, self.v.dim)) if self.swap else mat
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,9 +302,7 @@ def factor_as_local(u: Operator, split: BipartiteSplit, tol: float = 1e-8) -> Me
 
     branches = [(Membership.LOCAL, u.entries)]
     if split.d1 == split.d2:
-        # u @ swap: column (a, b) of the product is column (b, a) of u.
-        swapped = u.entries.reshape(u.dim, split.d1, split.d1).transpose(0, 2, 1).reshape(u.dim, u.dim)
-        branches.append((Membership.SWAP_LOCAL, swapped))
+        branches.append((Membership.SWAP_LOCAL, _times_swap(u.entries, split.d1)))
     best = np.inf
     for verdict, mat in branches:
         factors, residual = _try_product_form(mat, split, tol)

@@ -20,15 +20,54 @@ def _run_json(capsys, argv):
 
 # ---------------------------------------------------------------- payload shape
 
+OUTPUT_KEYS = {"fmt", "out"}
+SEEDED_KEYS = OUTPUT_KEYS | {"seed"}
+# One run of each subcommand, with the config keys its payload must echo:
+# exactly the options that subcommand declares, and no others.
+SCHEMA_CASES = [
+    (["schmidt", "--state", PHI_PLUS_TEXT, "--split", "2x2"], OUTPUT_KEYS | {"state", "split"}),
+    (["classify", "--state", PHI_PLUS_TEXT, "--split", "2x2"], OUTPUT_KEYS | {"state", "split", "tol"}),
+    (["frame", "bell"], OUTPUT_KEYS | {"kind", "theta"}),
+    (["pauli-table"], OUTPUT_KEYS),
+    (["twirl", "--samples", "10"], SEEDED_KEYS | {"workers", "samples", "split"}),
+    (["superdense", "--dim", "2", "--trials", "1"], SEEDED_KEYS | {"dim", "trials"}),
+    (["lambda", "--lambda", "0.1", "--shots", "10"], SEEDED_KEYS | {"workers", "lambda", "shots"}),
+    (["refframe", "--n", "1", "--dim", "2"], SEEDED_KEYS | {"n", "dim"}),
+    (["ordering"], OUTPUT_KEYS),
+    (["symspan", "--samples", "20"], SEEDED_KEYS | {"samples"}),
+    (["verify", "--suite", "lemmas", "--trials", "1"], SEEDED_KEYS | {"suite", "trials"}),
+]
+
+
 def test_payload_schema(capsys):
-    code, payload, _ = _run_json(capsys, ["schmidt", "--state", PHI_PLUS_TEXT, "--split", "2x2"])
-    assert code == 0
-    assert set(payload) == {"command", "config", "result", "elapsed_ms"}
-    assert payload["command"] == "schmidt"
-    assert payload["config"]["seed"] == 0
-    assert "handler" not in payload["config"]
-    assert isinstance(payload["elapsed_ms"], float)
-    assert payload["elapsed_ms"] >= 0
+    assert {argv[0] for argv, _ in SCHEMA_CASES} == set(cli.build_parser()._subparsers._group_actions[0].choices)
+    for argv, config_keys in SCHEMA_CASES:
+        code, payload, _ = _run_json(capsys, argv)
+        assert code == 0
+        assert set(payload) == {"command", "config", "result", "elapsed_ms"}
+        assert payload["command"] == argv[0]
+        assert set(payload["config"]) == config_keys, argv[0]
+        assert payload["config"].get("seed", 0) == 0
+        assert payload["config"].get("workers", 1) == 1
+        assert payload["config"].get("tol", 1e-10) == 1e-10
+        assert isinstance(payload["elapsed_ms"], float)
+        assert payload["elapsed_ms"] >= 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "thm1", "--trials", "1", "--tol", "1e-3"],
+        ["ordering", "--seed", "1"],
+        ["schmidt", "--state", PHI_PLUS_TEXT, "--split", "2x2", "--workers", "2"],
+        ["superdense", "--dim", "2", "--trials", "1", "--workers", "2"],
+    ],
+)
+def test_option_not_read_by_subcommand_exits_2(capsys, argv):
+    code = cli.run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "unrecognized arguments" in err
 
 
 def test_schmidt_command(capsys):
@@ -226,6 +265,10 @@ def test_csv_format(capsys):
         ["refframe", "--n", "1", "--dim", "1"],
         ["classify", "--state", "1,0 0,0", "--split", "2x1", "--tol", "-1"],
         ["twirl", "--samples", "5", "--workers", "0"],
+        ["verify", "--suite", "thm1", "--trials", "0"],
+        ["superdense", "--dim", "2", "--trials", "0"],
+        ["classify", "--state", "1,0 0,0", "--split", "2x1", "--tol", "inf"],
+        ["frame", "theta", "--theta", "inf"],                     # non-finite value in the payload
     ],
 )
 def test_bad_inputs_exit_2(capsys, argv):
@@ -249,6 +292,16 @@ def test_extreme_but_finite_state_scales(capsys, scale):
     assert code == 0
     assert payload["result"]["classification"] == "MaximallyEntangled"
     assert payload["result"]["input_norm"] == pytest.approx(math.sqrt(2.0) * scale, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("state", ["1e308,0 1e308,0 1e308,0 1e308,0", "1.5e308,1.5e308 0,0 0,0 0,0"])
+def test_state_norm_beyond_float_range_exits_2(capsys, state):
+    code = cli.run(["classify", "--state", state, "--split", "2x2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error" in captured.err and "norm exceeds" in captured.err
 
 
 def test_unknown_command_exits_2(capsys):

@@ -152,6 +152,15 @@ def test_factored_action_matches_dense_matrix(d1, d2):
     assert swaps == ({False, True} if d1 == d2 else {False})
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_swapped_operator_is_kron_times_swap_matrix(d):
+    rng = RngStream(d)
+    for _ in range(20):
+        elem = MeronomicElement(haar_unitary(d, rng), haar_unitary(d, rng), swap=True)
+        expected = np.kron(elem.v.entries, elem.w.entries) @ swap_operator(d).entries
+        np.testing.assert_array_equal(elem.to_operator().entries, expected)
+
+
 def test_singlet_is_isotropic():
     # V (x) V leaves the odd Bell state alone up to phase
     rng = RngStream(4)
