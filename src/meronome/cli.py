@@ -277,9 +277,16 @@ def _cmd_verify(args):
 
 # ---------------------------------------------------------------- parser
 
-def _positive_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     value = float(text)
-    if not 0.0 < value < math.inf:
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0.0:
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
     return value
 
@@ -316,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frame", parents=[output], help="frame-change unitaries")
     p.add_argument("kind", choices=("bell", "theta"))
-    p.add_argument("--theta", type=float, default=None)
+    p.add_argument("--theta", type=_finite_float, default=None)
     p.set_defaults(handler=_cmd_frame)
 
     p = sub.add_parser("pauli-table", parents=[output], help="Bell-frame Pauli dictionary")

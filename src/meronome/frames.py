@@ -30,6 +30,7 @@ from .linalg import (
     distance_up_to_phase,
     kron,
     permutation_operator,
+    phase_fix,
 )
 
 _SIGMA = {
@@ -157,16 +158,8 @@ def schmidt_decompose(state: StateVector, split: BipartiteSplit) -> SchmidtDecom
         raise ValueError(f"state dim {state.dim} does not match split {split.d1}x{split.d2}")
     mat = state.amps.reshape(split.d1, split.d2)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    left = u.copy()
-    right = vh.T.copy()  # columns right[:, k] = vh[k, :], no conjugation
-    for k in range(s.shape[0]):
-        col = left[:, k]
-        idx = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())
-        if idx.size:
-            # rotate the pair of columns by opposite phases; the product is unchanged
-            phase = col[idx[0]] / abs(col[idx[0]])
-            left[:, k] = col / phase
-            right[:, k] = right[:, k] * phase
+    left, phases = phase_fix(u)
+    right = vh.T * phases  # columns right[:, k] = vh[k, :] times the phase taken off left[:, k]
     return SchmidtDecomposition(params=s**2, left=left, right=right)
 
 
@@ -280,10 +273,9 @@ def _try_product_form(mat: np.ndarray, split: BipartiteSplit, tol: float):
     ub, _, vhb = np.linalg.svd(b_raw)
     v = ua @ vha
     w = ub @ vhb
-    # Pin v's phase; push the compensating phase into w so v (x) w is unchanged.
-    pivot = np.flatnonzero(np.abs(v) > 1e-12)[0]
-    phase = v.flat[pivot] / abs(v.flat[pivot])
-    v, w = v / phase, w * phase
+    # Pin v's phase (v read row by row as one column); w takes it back, so v (x) w is unchanged.
+    flat, phases = phase_fix(v.reshape(-1, 1))
+    v, w = flat.reshape(d1, d1), w * phases[0]
     residual = distance_up_to_phase(mat, np.kron(v, w))
     return ((Operator(v), Operator(w)) if residual <= tol else None), residual
 

@@ -36,13 +36,17 @@ def _as_complex_matrix(values) -> np.ndarray:
     return arr
 
 
-def phase_fix(vec: np.ndarray) -> np.ndarray:
-    """Rescale `vec` by a unit phase so its first significant entry is positive real."""
-    idx = np.flatnonzero(np.abs(vec) > 1e-12 * max(np.abs(vec).max(), 1e-300))
-    if idx.size == 0:
-        return vec
-    pivot = vec[idx[0]]
-    return vec * (abs(pivot) / pivot)
+def phase_fix(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Divide each (nonzero) column of `mat` by the phase of its pivot; return (fixed, phases).
+
+    The pivot, the first entry above 1e-12 of the column's largest modulus, comes out positive
+    real, and mat == fixed * phases.
+    """
+    mod = np.abs(mat)
+    first = (mod > 1e-12 * mod.max(axis=0)).argmax(axis=0)
+    pivots = mat[first, np.arange(mat.shape[1])]
+    phases = pivots / np.hypot(pivots.real, pivots.imag)  # scalar abs(); SIMD np.abs can differ in the last bit
+    return mat / phases, phases
 
 
 def distance_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
@@ -87,12 +91,12 @@ class StateVector:
     def normalized(cls, values) -> "StateVector":
         """Build a state from any finite nonzero amplitudes: divide by the largest modulus, then by the norm."""
         arr = _as_complex_vector(values)
-        scale = float(np.abs(arr).max(initial=0.0))
-        if not math.isfinite(scale):
-            raise ValueError(f"cannot normalize amplitudes with non-finite norm {scale}")
-        if scale == 0.0:
+        big = np.abs(arr.view(np.float64)).max(initial=0.0)  # largest |re| or |im|, so |z| <= sqrt(2) * big
+        if not np.isfinite(big):
+            raise ValueError("cannot normalize non-finite amplitudes")
+        if big == 0.0:
             raise ValueError("cannot normalize a zero amplitude vector")
-        arr = arr / scale
+        arr = arr / (float(np.abs(arr).max()) if big < 1e300 else float(big))  # past 1e300 |z| may overflow
         return cls(arr / np.linalg.norm(arr))
 
     @classmethod
@@ -247,19 +251,14 @@ def partial_trace(rho: DensityOperator, split: BipartiteSplit, keep: int) -> Den
     return DensityOperator(reduced)
 
 
-def hermitian_eigensystem(op: Operator, tol: float = TOL_EIGEN) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigensystem(op: Operator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (real, descending) and matching orthonormal eigenvector columns.
 
-    Each eigenvector's phase is fixed so its first significant component is
-    positive real, which keeps the output reproducible across runs.
+    The input must be Hermitian within TOL_EIGEN.  Each eigenvector's phase
+    is pinned by phase_fix, which keeps the output reproducible across runs.
     """
-    if not op.is_hermitian(tol):
+    if not op.is_hermitian(TOL_EIGEN):
         raise ValueError("matrix is not Hermitian within tolerance")
     herm = (op.entries + op.entries.conj().T) / 2.0
     values, vectors = np.linalg.eigh(herm)
-    order = np.argsort(values)[::-1]
-    values = values[order]
-    vectors = vectors[:, order]
-    for k in range(vectors.shape[1]):
-        vectors[:, k] = phase_fix(vectors[:, k])
-    return values, vectors
+    return values[::-1], phase_fix(vectors[:, ::-1])[0]  # eigh sorts ascending

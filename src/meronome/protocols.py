@@ -30,6 +30,7 @@ from .linalg import (
 from .sampling import RngStream, random_m_element, random_maxent_state, random_state, sample_m_chunks
 
 _DIM_CAP = 4096  # dense operators and joint vectors stay cheap below this
+TOL_ORDERING = 1e-6  # ordering_discriminate: the signals weigh exactly 1 and 0; roundoff moves that by ~1e-15
 
 
 def shift_unitary(d: int) -> Operator:
@@ -314,7 +315,7 @@ class OrderingVerdict(enum.Enum):
     AMBIGUOUS = "Ambiguous"
 
 
-def ordering_discriminate(received: DensityOperator, tol: float = 1e-6) -> OrderingVerdict:
+def ordering_discriminate(received: DensityOperator) -> OrderingVerdict:
     """Decide which pairing signal a 16-dimensional state matches.
 
     Projects onto the support of the first signal state: probability 1
@@ -326,8 +327,8 @@ def ordering_discriminate(received: DensityOperator, tol: float = 1e-6) -> Order
         raise ValueError(f"expected a four-qubit state, got dim {received.dim}")
     tau, _ = tau_states()
     weight = 3.0 * float(np.trace(tau.entries @ received.entries).real)
-    if weight >= 1.0 - tol:
+    if weight >= 1.0 - TOL_ORDERING:
         return OrderingVerdict.SAME
-    if weight <= tol:
+    if weight <= TOL_ORDERING:
         return OrderingVerdict.SWAPPED
     return OrderingVerdict.AMBIGUOUS

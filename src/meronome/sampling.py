@@ -3,8 +3,8 @@
 All sampling goes through RngStream, a thin wrapper around numpy's
 counter-based Philox generator.  A given seed fixes every draw bit for bit,
 and streams can be split into independent child streams for worker-style
-decomposition; merging partial results in worker-index order reproduces the
-single-stream layout of sums.
+decomposition.  Output is bit-reproducible for a given (seed, workers); a
+different worker count lays the draws out differently and gives other numbers.
 """
 
 from __future__ import annotations

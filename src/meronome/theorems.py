@@ -24,7 +24,7 @@ from .frames import (
     factor_as_local,
     schmidt_decompose,
 )
-from .linalg import BipartiteSplit, Operator, StateVector, phase_fix
+from .linalg import TOL_ALGEBRA, TOL_EIGEN, BipartiteSplit, Operator, StateVector, phase_fix
 from .sampling import (
     RngStream,
     haar_unitary,
@@ -35,6 +35,10 @@ from .sampling import (
 )
 
 _SQRT2 = np.sqrt(2.0)
+
+# Verdicts on classes, (anti-)Hermiticity and membership residuals use TOL_EIGEN (1e-8); true ones hold to ~1e-15.
+TOL_DRIFT = 1e-9  # Schmidt parameters are squared singular values of a unit-norm matrix: a decade below TOL_EIGEN
+PROBES = 20  # probes per non-member check: one random probe already exposes a Haar non-member almost surely
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,7 @@ class Verdict:
             raise ValueError("witness must be present exactly when the check failed")
 
 
-def relative_unitary(psi: StateVector, phi: StateVector, tol: float = 1e-8) -> Operator:
+def relative_unitary(psi: StateVector, phi: StateVector) -> Operator:
     """The 2x2 unitary u with (1 (x) u) psi = phi, for maximally entangled two-qubit states.
 
     Built from the first-qubit-conditioned expansions psi = (|0, p0> + |1, p1>)/sqrt(2)
@@ -61,31 +65,31 @@ def relative_unitary(psi: StateVector, phi: StateVector, tol: float = 1e-8) -> O
     for name, state in (("psi", psi), ("phi", phi)):
         if state.dim != 4:
             raise ValueError(f"{name} must be a two-qubit state, got dim {state.dim}")
-        if classify(state, split, tol) is not Entanglement.MAXIMALLY_ENTANGLED:
-            raise ValueError(f"{name} is not maximally entangled within {tol}")
+        if classify(state, split, TOL_EIGEN) is not Entanglement.MAXIMALLY_ENTANGLED:
+            raise ValueError(f"{name} is not maximally entangled within {TOL_EIGEN}")
     p = psi.amps.reshape(2, 2) * _SQRT2
     q = phi.amps.reshape(2, 2) * _SQRT2
     return Operator(q.T @ p.conj())
 
 
-def _superposition_entanglement(psi: StateVector, phi: StateVector, tol: float):
+def _superposition_entanglement(psi: StateVector, phi: StateVector):
     """Classification of (psi + phi)/sqrt(2), or None when it is not even normalized."""
     s = (psi.amps + phi.amps) / _SQRT2
     norm = np.linalg.norm(s)
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > TOL_EIGEN:
         return None, s
-    return classify(StateVector(s / norm), BipartiteSplit(2, 2), tol), s
+    return classify(StateVector(s / norm), BipartiteSplit(2, 2), TOL_EIGEN), s
 
 
-def check_lemma_antihermitian(psi: StateVector, phi: StateVector, tol: float = 1e-8) -> Verdict:
+def check_lemma_antihermitian(psi: StateVector, phi: StateVector) -> Verdict:
     """Equal superposition is maximally entangled iff the relative unitary is anti-Hermitian.
 
     Tests the biconditional in both directions on one pair of maximally
     entangled two-qubit states.
     """
-    u = relative_unitary(psi, phi, tol).entries
-    anti = bool(np.abs(u + u.conj().T).max() <= tol)
-    cls, s = _superposition_entanglement(psi, phi, tol)
+    u = relative_unitary(psi, phi).entries
+    anti = bool(np.abs(u + u.conj().T).max() <= TOL_EIGEN)
+    cls, s = _superposition_entanglement(psi, phi)
     superposed_maxent = cls is Entanglement.MAXIMALLY_ENTANGLED
     if anti == superposed_maxent:
         return Verdict(True, f"biconditional holds (anti-Hermitian={anti})")
@@ -96,14 +100,14 @@ def check_lemma_antihermitian(psi: StateVector, phi: StateVector, tol: float = 1
     )
 
 
-def check_lemma_hermitian(psi: StateVector, phi: StateVector, tol: float = 1e-8) -> Verdict:
+def check_lemma_hermitian(psi: StateVector, phi: StateVector) -> Verdict:
     """Orthogonal pair with Hermitian relative unitary must superpose to a product state."""
-    u = relative_unitary(psi, phi, tol).entries
-    if abs(psi.overlap(phi)) > tol:
+    u = relative_unitary(psi, phi).entries
+    if abs(psi.overlap(phi)) > TOL_EIGEN:
         raise ValueError("states must be mutually orthogonal")
-    if np.abs(u - u.conj().T).max() > tol:
-        raise ValueError("relative unitary must be Hermitian within tol")
-    cls, s = _superposition_entanglement(psi, phi, tol)
+    if np.abs(u - u.conj().T).max() > TOL_EIGEN:
+        raise ValueError(f"relative unitary must be Hermitian within {TOL_EIGEN}")
+    cls, s = _superposition_entanglement(psi, phi)
     if cls is Entanglement.PRODUCT:
         return Verdict(True, "superposition is a product state")
     return Verdict(False, f"superposition classified as {cls}", witness=s)
@@ -111,7 +115,7 @@ def check_lemma_hermitian(psi: StateVector, phi: StateVector, tol: float = 1e-8)
 
 def _orthogonal_complement(state: StateVector) -> StateVector:
     a, b = state.amps
-    return StateVector(phase_fix(np.array([-np.conj(b), np.conj(a)])))
+    return StateVector(phase_fix(np.array([[-np.conj(b)], [np.conj(a)]]))[0][:, 0])
 
 
 def gamma_delta(psi_local: StateVector, phi_local: StateVector) -> tuple[StateVector, StateVector]:
@@ -139,9 +143,7 @@ def _transform_raw(elem: MeronomicElement, state: StateVector) -> Optional[State
     return StateVector(out / norm)
 
 
-def schmidt_preservation_check(
-    elem: MeronomicElement, state: StateVector, split: BipartiteSplit, tol: float = 1e-9
-) -> Verdict:
+def schmidt_preservation_check(elem: MeronomicElement, state: StateVector, split: BipartiteSplit) -> Verdict:
     """Does the element keep the (sorted) Schmidt parameters of this state?"""
     before = schmidt_decompose(state, split).params
     transformed = _transform_raw(elem, state)
@@ -149,20 +151,20 @@ def schmidt_preservation_check(
         return Verdict(False, "element annihilated the probe state", witness=state.amps)
     after = schmidt_decompose(transformed, split).params
     drift = float(np.abs(before - after).max())
-    if drift <= tol:
+    if drift <= TOL_DRIFT:
         return Verdict(True, f"Schmidt parameters preserved (max drift {drift:.2e})")
-    return Verdict(False, f"Schmidt parameters drifted by {drift:.2e} > {tol}", witness=state.amps)
+    return Verdict(False, f"Schmidt parameters drifted by {drift:.2e} > {TOL_DRIFT}", witness=state.amps)
 
 
-def member_recognition_check(elem: MeronomicElement, tol: float = 1e-8) -> Verdict:
+def member_recognition_check(elem: MeronomicElement) -> Verdict:
     """Is a constructed group element recognized by the membership test?"""
     mat = elem.to_operator()
     expected = Membership.SWAP_LOCAL if elem.swap else Membership.LOCAL
     try:
-        result = factor_as_local(mat, elem.split, tol)
+        result = factor_as_local(mat, elem.split, TOL_EIGEN)
     except ValueError as exc:
         return Verdict(False, f"membership test rejected the element: {exc}", witness=mat.entries)
-    if result.verdict is expected and result.residual <= tol:
+    if result.verdict is expected and result.residual <= TOL_EIGEN:
         return Verdict(True, f"recognized as {result.verdict.value} (residual {result.residual:.2e})")
     return Verdict(
         False,
@@ -171,25 +173,23 @@ def member_recognition_check(elem: MeronomicElement, tol: float = 1e-8) -> Verdi
     )
 
 
-def nonmember_product_check(
-    u: Operator, split: BipartiteSplit, rng: RngStream, probes: int = 20, tol: float = 1e-8
-) -> Verdict:
+def nonmember_product_check(u: Operator, split: BipartiteSplit, rng: RngStream) -> Verdict:
     """A rejected unitary must send some product state to an entangled one."""
-    for _ in range(probes):
+    for _ in range(PROBES):
         probe = random_product_state(split, rng)
-        if classify(u.apply(probe), split, tol) is not Entanglement.PRODUCT:
+        if classify(u.apply(probe), split, TOL_EIGEN) is not Entanglement.PRODUCT:
             return Verdict(True, "found a product state mapped to an entangled state")
-    return Verdict(False, f"all {probes} product probes stayed product", witness=u.entries)
+    return Verdict(False, f"all {PROBES} product probes stayed product", witness=u.entries)
 
 
-def nonmember_maxent_check(u: Operator, rng: RngStream, probes: int = 20, tol: float = 1e-8) -> Verdict:
+def nonmember_maxent_check(u: Operator, rng: RngStream) -> Verdict:
     """A rejected two-qubit unitary must break maximal entanglement somewhere."""
     split = BipartiteSplit(2, 2)
-    for _ in range(probes):
+    for _ in range(PROBES):
         probe = random_maxent_state(2, rng)
-        if classify(u.apply(probe), split, tol) is not Entanglement.MAXIMALLY_ENTANGLED:
+        if classify(u.apply(probe), split, TOL_EIGEN) is not Entanglement.MAXIMALLY_ENTANGLED:
             return Verdict(True, "found a maximally entangled state mapped off the maximal set")
-    return Verdict(False, f"all {probes} maximally entangled probes stayed maximal", witness=u.entries)
+    return Verdict(False, f"all {PROBES} maximally entangled probes stayed maximal", witness=u.entries)
 
 
 def _trial_element(
@@ -241,9 +241,9 @@ def check_theorem2_suite(
     """Sampled check that, on two qubits, exactly the decomposition-preserving
     unitaries preserve maximal entanglement.
 
-    Group elements (or injected overrides) must map 20 random maximally
-    entangled states to maximally entangled ones; rejected Haar unitaries
-    must break maximality on at least one of 20 probes.
+    Group elements (or injected overrides) must map PROBES random maximally
+    entangled states to maximally entangled ones, judged at TOL_ALGEBRA;
+    rejected Haar unitaries must break maximality on one of PROBES probes.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -252,10 +252,10 @@ def check_theorem2_suite(
         raise ValueError("the two-qubit suite only takes 2x2 elements")
     for t in range(trials):
         elem = _trial_element(split, t, rng, elements)
-        for _ in range(20):
+        for _ in range(PROBES):
             probe = random_maxent_state(2, rng)
             image = _transform_raw(elem, probe)
-            if image is None or classify(image, split) is not Entanglement.MAXIMALLY_ENTANGLED:
+            if image is None or classify(image, split, TOL_ALGEBRA) is not Entanglement.MAXIMALLY_ENTANGLED:
                 return Verdict(
                     False, f"trial {t}: element moved a maximally entangled state off the maximal set", probe.amps
                 )

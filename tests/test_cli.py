@@ -269,6 +269,7 @@ def test_csv_format(capsys):
         ["superdense", "--dim", "2", "--trials", "0"],
         ["classify", "--state", "1,0 0,0", "--split", "2x1", "--tol", "inf"],
         ["frame", "theta", "--theta", "inf"],                     # non-finite value in the payload
+        ["frame", "theta", "--theta", "nan"],
     ],
 )
 def test_bad_inputs_exit_2(capsys, argv):
@@ -276,6 +277,16 @@ def test_bad_inputs_exit_2(capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theta", ["inf", "-inf", "nan"])
+def test_non_finite_theta_is_rejected_by_the_parser(capsys, theta):
+    code = cli.run(["frame", "theta", f"--theta={theta}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "argument --theta: must be a finite number" in captured.err
 
 
 def test_non_finite_state_exits_2(capsys):

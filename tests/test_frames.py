@@ -73,6 +73,16 @@ def test_schmidt_reconstruction_random():
             assert abs(dec.params.sum() - 1.0) < 1e-9
 
 
+def test_schmidt_left_columns_are_phase_pinned():
+    rng = RngStream(3)
+    for split in (S22, BipartiteSplit(3, 2), BipartiteSplit(2, 4)):
+        for _ in range(10):
+            dec = schmidt_decompose(random_state(split.dim, rng), split)
+            for col in dec.left.T:
+                pivot = col[np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]]
+                assert abs(pivot.imag) < 1e-12 and pivot.real > 0
+
+
 def test_schmidt_rejects_wrong_dim():
     with pytest.raises(ValueError):
         schmidt_decompose(StateVector.basis(4, 0), BipartiteSplit(2, 3))

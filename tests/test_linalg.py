@@ -15,6 +15,7 @@ from meronome.linalg import (
     partial_trace,
     permutation_operator,
     permute_subsystems,
+    phase_fix,
     tensor_state,
 )
 from meronome.sampling import RngStream, haar_unitary, random_state
@@ -58,6 +59,13 @@ def test_state_normalized_classmethod():
 def test_state_normalized_huge_finite_amplitudes():
     s = StateVector.normalized([1e308, -1e308j])
     assert_allclose(s.amps, [ISQ2, -1j * ISQ2])
+
+
+@pytest.mark.filterwarnings("error")
+def test_state_normalized_modulus_beyond_float_range():
+    # |1.5e308 + 1.5e308j| overflows although both parts are finite
+    s = StateVector.normalized([1.5e308 + 1.5e308j, 0.0])
+    assert_allclose(s.amps, [ISQ2 * (1 + 1j), 0.0])
 
 
 def test_state_normalized_tiny_amplitudes():
@@ -260,6 +268,15 @@ def test_eigensystem_two_qubit_coupling():
 def test_eigensystem_rejects_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_eigensystem(Operator(np.array([[0.0, 1.0], [0.0, 0.0]])))
+
+
+def test_phase_fix_pins_first_significant_entry_per_column():
+    mat = np.array([[1e-13j, 0.0], [-2.0j, 0.0], [1.0, 3.0 - 4.0j]])
+    fixed, phases = phase_fix(mat)
+    assert_allclose(phases, [-1j, 0.6 - 0.8j])
+    # 1e-13j lies below 1e-12 of the column's largest modulus, so -2j is the pivot
+    assert_allclose(fixed[[1, 2], [0, 1]], [2.0, 5.0], rtol=0, atol=1e-15)
+    assert_allclose(fixed * phases, mat, rtol=0, atol=1e-15)
 
 
 def test_eigenvector_phase_is_deterministic():

@@ -208,6 +208,21 @@ def test_lemmas_suite_passes(seed):
     assert verdict.passed, verdict.detail
 
 
+@pytest.mark.parametrize(
+    "suite, next_draw",
+    [
+        (check_theorem1_suite, 0.5729487550539184),
+        (check_theorem2_suite, 0.9037603255325396),
+        (check_lemmas_suite, 0.45965191957059015),
+    ],
+)
+def test_suite_draw_order_is_pinned(suite, next_draw):
+    # the payload only shows passed/detail, so a dropped or reordered draw would go unseen without this
+    rng = RngStream(0)
+    assert suite(20, rng).passed
+    assert rng.generator.random() == next_draw
+
+
 def test_suites_accept_fixed_elements():
     eye = MeronomicElement.identity(S22)
     swapped = MeronomicElement(Operator.identity(2), Operator.identity(2), swap=True)
