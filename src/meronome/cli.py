@@ -13,6 +13,7 @@ import enum
 import io
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -175,8 +176,6 @@ def _cmd_twirl(args):
 
 
 def _cmd_superdense(args):
-    if args.dim < 2:
-        raise ValueError("--dim must be >= 2")
     rng = sampling.RngStream(args.seed)
     successes = 0
     max_signal_overlap = 0.0
@@ -215,8 +214,6 @@ def _cmd_lambda(args):
 
 
 def _cmd_refframe(args):
-    if args.dim < 2:
-        raise ValueError("--dim must be >= 2")
     rng = sampling.RngStream(args.seed)
     psi = sampling.random_state(args.dim, rng)
     phi = sampling.random_state(args.dim, rng)
@@ -298,6 +295,13 @@ def _count(text: str) -> int:
     return value
 
 
+def _dimension(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Each option goes only on the subcommands that read it: config echoes no value that was never applied.
     output = argparse.ArgumentParser(add_help=False)
@@ -335,18 +339,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_twirl)
 
     p = sub.add_parser("superdense", parents=[seeded], help="frame-independent one-bit signaling")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_dimension, required=True)
     p.add_argument("--trials", type=_count, required=True)
     p.set_defaults(handler=_cmd_superdense)
 
     p = sub.add_parser("lambda", parents=[sharded], help="Schmidt-parameter estimation from the invariant effect")
     p.add_argument("--lambda", type=float, required=True, help="smaller Schmidt parameter in [0, 0.5]")
-    p.add_argument("--shots", type=int, required=True)
+    p.add_argument("--shots", type=_count, required=True)
     p.set_defaults(handler=_cmd_lambda)
 
     p = sub.add_parser("refframe", parents=[seeded], help="symmetric-subspace reference measurement")
-    p.add_argument("--n", type=int, required=True, help="number of reference copies")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True, help="number of reference copies")
+    p.add_argument("--dim", type=_dimension, required=True)
     p.set_defaults(handler=_cmd_refframe)
 
     p = sub.add_parser("ordering", parents=[output], help="pair-ordering discrimination signals")
@@ -361,6 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_count, required=True)
     p.set_defaults(handler=_cmd_verify)
 
+    for p in sub.choices.values():  # argparse alone reads -1e3 and -inf as options, not values
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
     return parser
 
 

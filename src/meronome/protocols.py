@@ -2,9 +2,14 @@
 
 Each task here only relies on structure every decomposition-preserving
 element leaves alone: maximal entanglement (superdense signaling), the
-invariant two-pair state used for entanglement estimation, the symmetric
-subspace of repeated references, and the antisymmetric/symmetric split that
-distinguishes pair orderings.
+symmetric subspace of repeated references, and the commutant of duplicated
+elements on two copies.  With the copies ordered (A1 B1 A2 B2), F_A swapping
+A1 with A2 and F_B swapping B1 with B2, every g (x) g with g = v (x) w
+commutes with the four projectors P_ab = P_a^A P_b^B, where P_S, P_A =
+(1 +- F)/2.  On qubits the invariant effect Lambda is the rank-1 P_AA, whose
+probability on phi (x) phi is |det Phi|^2 = (1 - tr rho_A^2)/2 = lam(1 - lam);
+the pair-ordering signals are tau = P_AS/3 and tau' = P_SA/3, which the
+duplicated factor swap exchanges.
 """
 
 from __future__ import annotations
@@ -16,17 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frames import MeronomicElement, apply_element
-from .linalg import (
-    BipartiteSplit,
-    DensityOperator,
-    Operator,
-    StateVector,
-    kron,
-    permutation_operator,
-    permute_subsystems,
-    tensor_state,
-)
+from .frames import apply_element
+from .linalg import BipartiteSplit, DensityOperator, Operator, StateVector, permutation_operator
 from .sampling import RngStream, random_m_element, random_maxent_state, random_state, sample_m_chunks
 
 _DIM_CAP = 4096  # dense operators and joint vectors stay cheap below this
@@ -87,51 +83,50 @@ def superdense_round(d: int, bit: int, rng: RngStream, encoder: Operator | None 
     )
 
 
-def _singlet() -> StateVector:
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[1] = 1.0 / math.sqrt(2.0)
-    amps[2] = -1.0 / math.sqrt(2.0)
-    return StateVector(amps)
+@lru_cache(maxsize=None)
+def _pair_projectors(d1: int, d2: int) -> dict[str, np.ndarray]:
+    """The read-only P_ab = P_a^A P_b^B on two d1 x d2 copies ordered (A1 B1 A2 B2), keyed "SS", "SA", "AS", "AA".
 
-
-# Qubit pairs (1,3) and (2,4) carry the singlets; this permutation moves the
-# tensor slot order (1,3,2,4) back to (1,2,3,4).
-_PAIR_INTERLEAVE = (0, 2, 1, 3)
+    P_S, P_A = (1 +- F)/2 for F_A swapping A1 with A2 and F_B swapping B1 with B2; they are orthogonal, sum
+    to 1 and commute with every duplicated element g (x) g with g = v (x) w.
+    """
+    eye = np.eye((d1 * d2) ** 2, dtype=np.complex128)
+    f_a = permutation_operator((d1, d2, d1, d2), (2, 1, 0, 3)).entries
+    f_b = permutation_operator((d1, d2, d1, d2), (0, 3, 2, 1)).entries
+    side_a = {"S": (eye + f_a) / 2, "A": (eye - f_a) / 2}
+    side_b = {"S": (eye + f_b) / 2, "A": (eye - f_b) / 2}
+    projectors = {a + b: side_a[a] @ side_b[b] for a in "SA" for b in "SA"}
+    for mat in projectors.values():
+        mat.setflags(write=False)
+    return projectors
 
 
 def lambda_state() -> StateVector:
-    """The invariant four-qubit state: singlets across qubits (1,3) and (2,4).
+    """The invariant four-qubit state spanning P_AA: amplitudes +-1/2 on |0011>, |0110>, |1001>, |1100>.
 
     Viewing qubits (1,2) and (3,4) as two copies of the same composite
     system, every duplicated element g (x) g maps this state to itself up to
     phase, so the projector onto it is a decomposition-independent effect.
     """
-    paired = tensor_state(_singlet(), _singlet())
-    return permute_subsystems(paired, (2, 2, 2, 2), _PAIR_INTERLEAVE)
+    return StateVector.normalized(_pair_projectors(2, 2)["AA"][:, 0b0011])
 
 
-def duplicate_state(state: StateVector) -> StateVector:
-    """Two copies of a state, side by side."""
-    return tensor_state(state, state)
-
-
-def duplicated_element_operator(elem: MeronomicElement) -> Operator:
-    """The same decomposition-preserving element acting on both copies."""
-    g = elem.to_operator()
-    return kron(g, g)
+def _det2(m: np.ndarray) -> np.ndarray:
+    """Determinant of a 2x2 matrix, or of each one in a stack."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 def lambda_effect_probability(phi: StateVector) -> float:
     """Probability of the invariant-state effect on two copies of a two-qubit state.
 
-    Equals p * (1 - p) where p is the smaller Schmidt parameter of phi, so
-    it vanishes exactly on product states and peaks at 1/4 for maximally
+    <Lambda| phi (x) phi> = det Phi for the 2x2 amplitude matrix Phi, so this
+    is |det Phi|^2 = p * (1 - p) where p is the smaller Schmidt parameter of
+    phi: it vanishes exactly on product states and peaks at 1/4 for maximally
     entangled ones.
     """
     if phi.dim != 4:
         raise ValueError(f"expected a two-qubit state, got dim {phi.dim}")
-    amp = lambda_state().overlap(duplicate_state(phi))
-    return float(abs(amp) ** 2)
+    return float(abs(_det2(phi.amps.reshape(2, 2))) ** 2)
 
 
 @dataclass(frozen=True)
@@ -154,9 +149,7 @@ class LambdaEstimate:
 def _hit_probabilities(det_phi: complex, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per shot |<Lambda| phi' (x) phi'>|^2 = |det v * det Phi * det w|^2, the overlap being det Phi' of
     the disguised amplitude matrix Phi' = v Phi w^T; a swap transposes Phi and keeps its determinant."""
-    det_v = v[:, 0, 0] * v[:, 1, 1] - v[:, 0, 1] * v[:, 1, 0]
-    det_w = w[:, 0, 0] * w[:, 1, 1] - w[:, 0, 1] * w[:, 1, 0]
-    return np.abs(det_v * det_phi * det_w) ** 2
+    return np.abs(_det2(v) * det_phi * _det2(w)) ** 2
 
 
 def sample_lambda_measurement(lam: float, shots: int, rng: RngStream) -> LambdaEstimate:
@@ -196,19 +189,14 @@ def _sym_basis_cached(d: int, n: int) -> np.ndarray:
     return basis
 
 
-@lru_cache(maxsize=None)
-def _sym_projector_cached(d: int, n: int) -> np.ndarray:
-    basis = _sym_basis_cached(d, n)
-    return basis @ basis.conj().T
-
-
 def sym_projector(d: int, n: int) -> Operator:
     """Orthogonal projector onto the symmetric subspace of n copies of a d-level system."""
     if d < 1 or n < 1:
         raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
     if d**n > _DIM_CAP:
         raise ValueError(f"total dimension {d**n} exceeds the dense cap {_DIM_CAP}")
-    return Operator(_sym_projector_cached(d, n).copy())
+    basis = _sym_basis_cached(d, n)
+    return Operator(basis @ basis.conj().T)
 
 
 def measure_sym_subspace(psi: StateVector, phi_ref: StateVector, n: int) -> float:
@@ -262,51 +250,35 @@ def sym_span_analysis(samples: int, rng: RngStream) -> SymSpanReport:
     """
     if samples < 20:
         raise ValueError(f"need at least 20 samples for a meaningful span, got {samples}")
-    lam = lambda_state()
-    sym_dim = _sym_basis_cached(4, 2).shape[1]
-
-    rows = np.empty((samples, 16), dtype=np.complex128)
-    max_product_overlap = 0.0
-    for i in range(samples):
-        a = random_state(2, rng)
-        b = random_state(2, rng)
-        dup = duplicate_state(tensor_state(a, b))
-        rows[i] = dup.amps
-        max_product_overlap = max(max_product_overlap, abs(lam.overlap(dup)))
-    singular = np.linalg.svd(rows, compute_uv=False)
-    rank = int((singular > 1e-8 * singular[0]).sum())
-
-    min_entangled_overlap = math.inf
-    for _ in range(samples):
-        dup = duplicate_state(random_state(4, rng))
-        min_entangled_overlap = min(min_entangled_overlap, abs(lam.overlap(dup)))
-
+    products = [np.kron(random_state(2, rng).amps, random_state(2, rng).amps) for _ in range(samples)]
+    entangled = [random_state(4, rng).amps for _ in range(samples)]
+    dup_products = np.array([np.kron(x, x) for x in products])
+    dup_entangled = np.array([np.kron(x, x) for x in entangled])
+    singular = np.linalg.svd(dup_products, compute_uv=False)
+    lam = lambda_state().amps.conj()
     return SymSpanReport(
         samples=samples,
-        sym_dim=sym_dim,
-        product_span_rank=rank,
-        max_lambda_overlap=float(max_product_overlap),
-        min_entangled_lambda_overlap=float(min_entangled_overlap),
+        sym_dim=_sym_basis_cached(4, 2).shape[1],
+        product_span_rank=int((singular > 1e-8 * singular[0]).sum()),
+        max_lambda_overlap=float(np.abs(dup_products @ lam).max()),
+        min_entangled_lambda_overlap=float(np.abs(dup_entangled @ lam).min()),
     )
 
 
 @lru_cache(maxsize=None)
 def tau_states() -> tuple[DensityOperator, DensityOperator]:
-    """The two perfectly distinguishable four-qubit pairing signals.
+    """The two perfectly distinguishable four-qubit pairing signals, P_AS/3 and P_SA/3.
 
-    The first state puts a singlet across qubits (1,3) and the uniform
-    symmetric mixture across (2,4); the second swaps the two roles.  Both
-    are invariant under duplicated ordered elements v (x) w (x) v (x) w, and
-    their supports are orthogonal.  Built once; the entries are read-only.
+    The first state is antisymmetric across qubits (1,3) and symmetric across
+    (2,4), a singlet times the uniform symmetric mixture; the second swaps the
+    two roles.  Both are invariant under duplicated ordered elements
+    v (x) w (x) v (x) w, and their supports are orthogonal.  Built once; the
+    entries are read-only.
     """
-    singlet_rho = DensityOperator.from_state(_singlet()).entries
-    sym_mix = _sym_projector_cached(2, 2) / 3.0
-    interleave = permutation_operator((2, 2, 2, 2), _PAIR_INTERLEAVE).entries
-    tau = interleave @ np.kron(singlet_rho, sym_mix) @ interleave.T
-    tau_prime = interleave @ np.kron(sym_mix, singlet_rho) @ interleave.T
-    for mat in (tau, tau_prime):
-        mat.setflags(write=False)
-    return DensityOperator(tau), DensityOperator(tau_prime)
+    signals = tuple(DensityOperator(_pair_projectors(2, 2)[key] / 3.0) for key in ("AS", "SA"))
+    for rho in signals:
+        rho.entries.setflags(write=False)
+    return signals
 
 
 class OrderingVerdict(enum.Enum):

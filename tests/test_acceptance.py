@@ -30,7 +30,6 @@ from meronome.linalg import (
 )
 from meronome.protocols import (
     OrderingVerdict,
-    duplicated_element_operator,
     lambda_effect_probability,
     measure_sym_subspace,
     ordering_discriminate,
@@ -207,7 +206,8 @@ def test_09_ordering_discrimination():
             if elem.swap:
                 continue
             count += 1
-            g2 = duplicated_element_operator(elem).entries
+            g = elem.to_operator().entries
+            g2 = np.kron(g, g)
             assert np.abs(g2 @ tau.entries @ g2.conj().T - tau.entries).max() < 1e-9
 
 

@@ -270,6 +270,10 @@ def test_csv_format(capsys):
         ["classify", "--state", "1,0 0,0", "--split", "2x1", "--tol", "inf"],
         ["frame", "theta", "--theta", "inf"],                     # non-finite value in the payload
         ["frame", "theta", "--theta", "nan"],
+        ["lambda", "--lambda", "0.1", "--shots", "-5"],
+        ["refframe", "--n", "0", "--dim", "2"],
+        ["frame", "theta", "--theta", "-inf"],                    # a negative special value is a value, not an option
+        ["lambda", "--lambda", "-1e3", "--shots", "10"],
     ],
 )
 def test_bad_inputs_exit_2(capsys, argv):
@@ -287,6 +291,32 @@ def test_non_finite_theta_is_rejected_by_the_parser(capsys, theta):
     assert code == 2
     assert captured.out == ""
     assert "argument --theta: must be a finite number" in captured.err
+
+
+def test_negative_scientific_notation_is_a_value(capsys):
+    code, payload, _ = _run_json(capsys, ["frame", "theta", "--theta", "-1e3"])
+    assert code == 0
+    assert payload["result"]["theta"] == -1000.0
+    assert payload["config"]["theta"] == -1000.0
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["frame", "theta", "--theta", "-inf"], "argument --theta: must be a finite number, got -inf"),
+        (["lambda", "--lambda", "-1e3", "--shots", "10"], "lam must lie in [0, 0.5], got -1000.0"),
+        (["lambda", "--lambda", "0.1", "--shots", "-5"], "argument --shots: must be an integer >= 1, got -5"),
+        (["refframe", "--n", "0", "--dim", "2"], "argument --n: must be an integer >= 1, got 0"),
+        (["refframe", "--n", "1", "--dim", "1"], "argument --dim: must be an integer >= 2, got 1"),
+        (["superdense", "--dim", "1", "--trials", "5"], "argument --dim: must be an integer >= 2, got 1"),
+    ],
+)
+def test_bad_input_message_names_the_problem(capsys, argv, message):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_non_finite_state_exits_2(capsys):

@@ -11,13 +11,13 @@ from meronome.linalg import (
     DensityOperator,
     Operator,
     StateVector,
+    permutation_operator,
     tensor_state,
 )
 from meronome.protocols import (
     OrderingVerdict,
     _hit_probabilities,
-    duplicate_state,
-    duplicated_element_operator,
+    _pair_projectors,
     lambda_effect_probability,
     lambda_state,
     measure_sym_subspace,
@@ -40,6 +40,31 @@ def _two_qubit_diag(lam: float) -> StateVector:
     amps[0b00] = math.sqrt(lam)
     amps[0b11] = math.sqrt(1 - lam)
     return StateVector(amps)
+
+
+def _duplicated(elem: MeronomicElement) -> np.ndarray:
+    """g (x) g: the same element acting on both copies."""
+    g = elem.to_operator().entries
+    return np.kron(g, g)
+
+
+def _unswapped_elements(seed: int, count: int):
+    rng = RngStream(seed)
+    for _ in range(count):
+        elem = random_m_element(S22, rng)
+        yield MeronomicElement(elem.v, elem.w, swap=False)
+
+
+def _singlet_interleave_oracle() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lambda, tau and tau' built by hand: singlets and symmetric mixtures across qubits (1,3) and (2,4)."""
+    singlet = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2.0)
+    singlet_rho = np.outer(singlet, singlet.conj())
+    sym_mix = (np.eye(4) + permutation_operator((2, 2), (1, 0)).entries) / 6.0
+    interleave = permutation_operator((2, 2, 2, 2), (0, 2, 1, 3)).entries  # slot order (1,3,2,4) -> (1,2,3,4)
+    lam = interleave @ np.kron(singlet, singlet)
+    tau = interleave @ np.kron(singlet_rho, sym_mix) @ interleave.T
+    tau_prime = interleave @ np.kron(sym_mix, singlet_rho) @ interleave.T
+    return lam, tau, tau_prime
 
 
 # ---------------------------------------------------------------- signaling
@@ -102,8 +127,7 @@ def test_lambda_state_invariant_under_duplicated_elements():
     lam = lambda_state()
     rng = RngStream(14)
     for _ in range(100):
-        g2 = duplicated_element_operator(random_m_element(S22, rng))
-        moved = g2.apply(lam)
+        moved = StateVector(_duplicated(random_m_element(S22, rng)) @ lam.amps)
         assert abs(abs(lam.overlap(moved)) - 1.0) < 1e-10
 
 
@@ -125,6 +149,15 @@ def test_lambda_effect_disguise_independent():
     for _ in range(100):
         disguised = apply_element(random_m_element(S22, rng), state, S22)
         assert abs(lambda_effect_probability(disguised) - baseline) < 1e-10
+
+
+def test_lambda_effect_matches_overlap_with_lambda_state():
+    lam = lambda_state()
+    rng = RngStream(16)
+    for _ in range(100):
+        phi = random_state(4, rng)
+        overlap = lam.overlap(StateVector(np.kron(phi.amps, phi.amps)))
+        assert abs(lambda_effect_probability(phi) - abs(overlap) ** 2) < 1e-12
 
 
 def test_lambda_effect_rejects_wrong_dim():
@@ -320,20 +353,14 @@ def test_tau_states_orthogonal_signals():
 
 def test_tau_states_related_by_duplicated_swap():
     tau, tau_prime = tau_states()
-    xi = duplicated_element_operator(
-        MeronomicElement(Operator.identity(2), Operator.identity(2), swap=True)
-    ).entries
+    xi = _duplicated(MeronomicElement(Operator.identity(2), Operator.identity(2), swap=True))
     assert np.abs(xi @ tau.entries @ xi.conj().T - tau_prime.entries).max() < 1e-12
 
 
 def test_tau_states_invariant_under_ordered_elements():
     tau, tau_prime = tau_states()
-    rng = RngStream(33)
-    for _ in range(100):
-        elem = random_m_element(S22, rng)
-        if elem.swap:
-            elem = MeronomicElement(elem.v, elem.w, swap=False)
-        g2 = duplicated_element_operator(elem).entries
+    for elem in _unswapped_elements(33, 100):
+        g2 = _duplicated(elem)
         assert np.abs(g2 @ tau.entries @ g2.conj().T - tau.entries).max() < 1e-9
         assert np.abs(g2 @ tau_prime.entries @ g2.conj().T - tau_prime.entries).max() < 1e-9
 
@@ -348,12 +375,8 @@ def test_ordering_discriminates_signals():
 
 def test_ordering_verdict_stable_under_ordered_elements():
     tau, _ = tau_states()
-    rng = RngStream(34)
-    for _ in range(20):
-        elem = random_m_element(S22, rng)
-        if elem.swap:
-            elem = MeronomicElement(elem.v, elem.w, swap=False)
-        g2 = duplicated_element_operator(elem).entries
+    for elem in _unswapped_elements(34, 20):
+        g2 = _duplicated(elem)
         moved = DensityOperator(g2 @ tau.entries @ g2.conj().T)
         assert ordering_discriminate(moved) is OrderingVerdict.SAME
 
@@ -363,8 +386,47 @@ def test_ordering_rejects_wrong_dim():
         ordering_discriminate(DensityOperator.maximally_mixed(4))
 
 
-def test_duplicate_state_shape():
-    phi = random_state(4, RngStream(0))
-    dup = duplicate_state(phi)
-    assert dup.dim == 16
-    assert_allclose(dup.amps, np.kron(phi.amps, phi.amps))
+
+# ---------------------------------------------------------------- two-copy commutant
+
+def test_pair_projectors_resolve_the_identity():
+    projectors = _pair_projectors(2, 2)
+    assert sorted(projectors) == ["AA", "AS", "SA", "SS"]
+    ranks = {"SS": 9, "SA": 3, "AS": 3, "AA": 1}
+    for key, proj in projectors.items():
+        assert not proj.flags.writeable
+        assert np.abs(proj @ proj - proj).max() < 1e-15
+        assert np.abs(proj - proj.conj().T).max() < 1e-15
+        assert abs(proj.trace().real - ranks[key]) < 1e-12
+        assert np.linalg.matrix_rank(proj) == ranks[key]
+        for other_key, other in projectors.items():
+            if other_key != key:
+                assert np.abs(proj @ other).max() < 1e-15
+    assert np.abs(sum(projectors.values()) - np.eye(16)).max() < 1e-15
+
+
+def test_pair_projectors_commute_with_duplicated_elements():
+    projectors = _pair_projectors(2, 2)
+    for elem in _unswapped_elements(35, 50):
+        g2 = _duplicated(elem)
+        for proj in projectors.values():
+            assert np.abs(g2 @ proj - proj @ g2).max() < 1e-12
+
+
+def test_duplicated_swap_exchanges_as_and_sa():
+    projectors = _pair_projectors(2, 2)
+    xi = _duplicated(MeronomicElement(Operator.identity(2), Operator.identity(2), swap=True))
+    moved = {key: xi @ proj @ xi.conj().T for key, proj in projectors.items()}
+    assert np.abs(moved["AS"] - projectors["SA"]).max() < 1e-15
+    assert np.abs(moved["SA"] - projectors["AS"]).max() < 1e-15
+    assert np.abs(moved["SS"] - projectors["SS"]).max() < 1e-15
+    assert np.abs(moved["AA"] - projectors["AA"]).max() < 1e-15
+
+
+def test_commutant_objects_match_singlet_interleave_construction():
+    lam, tau, tau_prime = _singlet_interleave_oracle()
+    assert np.abs(lambda_state().amps - lam).max() < 1e-15
+    built_tau, built_tau_prime = tau_states()
+    assert np.abs(built_tau.entries - tau).max() < 1e-15
+    assert np.abs(built_tau_prime.entries - tau_prime).max() < 1e-15
+    assert not built_tau.entries.flags.writeable and not built_tau_prime.entries.flags.writeable
