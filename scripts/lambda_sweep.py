@@ -11,7 +11,7 @@ import argparse
 import math
 
 from meronome.protocols import sample_lambda_measurement
-from meronome.sampling import RngStream
+from meronome.sampling import seeded
 
 
 def main() -> None:
@@ -24,7 +24,7 @@ def main() -> None:
     print(f"{'lambda':>8}  {'p = l(1-l)':>10}  {'p_hat':>10}  {'lambda_hat':>10}  {'pull':>6}")
     for i in range(args.points):
         lam = 0.5 * i / (args.points - 1)
-        est = sample_lambda_measurement(lam, args.shots, RngStream(args.seed + i))
+        est = sample_lambda_measurement(lam, args.shots, seeded(args.seed + i))
         p = lam * (1 - lam)
         sigma = math.sqrt(p * (1 - p) / args.shots) if 0 < p < 1 else float("nan")
         pull = (est.p_hat - p) / sigma if sigma == sigma else 0.0

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from meronome.sampling import RngStream
+from meronome.sampling import seeded
 from meronome.theorems import check_lemmas_suite, check_theorem1_suite, check_theorem2_suite
 
 SUITES = {
@@ -28,7 +28,7 @@ def main() -> int:
     failures = 0
     for name, suite in SUITES.items():
         for seed in args.seeds:
-            verdict = suite(args.trials, RngStream(seed))
+            verdict = suite(args.trials, seeded(seed))
             status = "ok" if verdict.passed else "FAIL"
             print(f"{name:<24} seed={seed:<4} {status}  {verdict.detail}")
             if not verdict.passed:

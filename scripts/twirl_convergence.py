@@ -11,7 +11,7 @@ import argparse
 import numpy as np
 
 from meronome.linalg import BipartiteSplit, DensityOperator, StateVector
-from meronome.sampling import RngStream, exact_twirl, twirl_monte_carlo
+from meronome.sampling import exact_twirl, seeded, twirl_monte_carlo
 
 
 def main() -> None:
@@ -35,7 +35,7 @@ def main() -> None:
     for count in args.counts:
         distances = []
         for seed in range(args.seeds):
-            estimate = twirl_monte_carlo(rho, split, count, RngStream(seed))
+            estimate = twirl_monte_carlo(rho, split, count, seeded(seed))
             distances.append(np.linalg.norm(estimate.entries - target))
         print(f"{count:>10}  {np.mean(distances):>14.6f}  {np.max(distances):>14.6f}")
 

@@ -55,13 +55,13 @@ from .protocols import (
     tau_states,
 )
 from .sampling import (
-    RngStream,
     exact_twirl,
     haar_unitary,
     random_m_element,
     random_maxent_state,
     random_product_state,
     random_state,
+    seeded,
     twirl_monte_carlo,
 )
 from .theorems import (

@@ -79,10 +79,10 @@ def _parse_state(text: str) -> np.ndarray:
 
 
 def _parse_split(text: str) -> linalg.BipartiteSplit:
-    left, sep, right = text.partition("x")
-    if not sep:
+    match = re.fullmatch(r"(\d+)x(\d+)", text)
+    if not match:
         raise ValueError(f"bad split {text!r}; expected d1xd2")
-    return linalg.BipartiteSplit(int(left), int(right))
+    return linalg.BipartiteSplit(int(match[1]), int(match[2]))
 
 
 def _load_state(args) -> tuple[linalg.StateVector, linalg.BipartiteSplit, float]:
@@ -115,6 +115,8 @@ def _cmd_classify(args):
 
 def _cmd_frame(args):
     if args.kind == "bell":
+        if args.theta is not None:
+            raise ValueError("--theta applies only to frame theta")
         u = frames.bell_frame_unitary()
         result = {"kind": "bell"}
     else:
@@ -151,19 +153,19 @@ def _partial_maxent(split: linalg.BipartiteSplit) -> linalg.DensityOperator:
     return linalg.DensityOperator.from_state(linalg.StateVector(amps))
 
 
-def _shards(total: int, workers: int, rng: sampling.RngStream) -> list[tuple[int, sampling.RngStream]]:
-    """(share, stream) pairs: all on `rng` for one worker, else near-equal shares on split sub-streams."""
+def _shards(total: int, workers: int, rng: np.random.Generator) -> list[tuple[int, np.random.Generator]]:
+    """(share, stream) pairs: all on `rng` for one worker, else near-equal shares on spawned sub-streams."""
     if workers == 1:
         return [(total, rng)]
     base, extra = divmod(total, workers)
-    return [(base + (i < extra), child) for i, child in enumerate(rng.split(workers))]
+    return [(base + (i < extra), child) for i, child in enumerate(rng.spawn(workers))]
 
 
 def _cmd_twirl(args):
     split = _parse_split(args.split)
     rho = _partial_maxent(split)
     acc = np.zeros((split.dim, split.dim), dtype=np.complex128)
-    for share, stream in _shards(args.samples, args.workers, sampling.RngStream(args.seed)):
+    for share, stream in _shards(args.samples, args.workers, sampling.seeded(args.seed)):
         if share:
             acc += share * sampling.twirl_monte_carlo(rho, split, share, stream).entries
     est = linalg.DensityOperator(acc / args.samples)
@@ -176,7 +178,7 @@ def _cmd_twirl(args):
 
 
 def _cmd_superdense(args):
-    rng = sampling.RngStream(args.seed)
+    rng = sampling.seeded(args.seed)
     successes = 0
     max_signal_overlap = 0.0
     for _ in range(args.trials):
@@ -200,7 +202,7 @@ def _cmd_lambda(args):
     lam = getattr(args, "lambda")
     if args.shots < args.workers:
         raise ValueError("--shots must be >= --workers")
-    shards = _shards(args.shots, args.workers, sampling.RngStream(args.seed))
+    shards = _shards(args.shots, args.workers, sampling.seeded(args.seed))
     hits = sum(protocols.sample_lambda_measurement(lam, share, stream).hits for share, stream in shards)
     est = protocols.LambdaEstimate.from_hits(args.shots, hits)
     expected = lam * (1.0 - lam)
@@ -214,7 +216,7 @@ def _cmd_lambda(args):
 
 
 def _cmd_refframe(args):
-    rng = sampling.RngStream(args.seed)
+    rng = sampling.seeded(args.seed)
     psi = sampling.random_state(args.dim, rng)
     phi = sampling.random_state(args.dim, rng)
     p_sym = protocols.measure_sym_subspace(psi, phi, args.n)
@@ -250,7 +252,7 @@ def _cmd_ordering(args):
 
 
 def _cmd_symspan(args):
-    return protocols.sym_span_analysis(args.samples, sampling.RngStream(args.seed)), False
+    return protocols.sym_span_analysis(args.samples, sampling.seeded(args.seed)), False
 
 
 _SUITES = {
@@ -261,7 +263,7 @@ _SUITES = {
 
 
 def _cmd_verify(args):
-    verdict = _SUITES[args.suite](args.trials, sampling.RngStream(args.seed))
+    verdict = _SUITES[args.suite](args.trials, sampling.seeded(args.seed))
     result = {
         "suite": args.suite,
         "trials": args.trials,
@@ -288,18 +290,36 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _count(text: str) -> int:
+def _integer_at_least(minimum: int, text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text}")
     return value
+
+
+def _seed(text: str) -> int:
+    return _integer_at_least(0, text)
+
+
+def _count(text: str) -> int:
+    return _integer_at_least(1, text)
 
 
 def _dimension(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text}")
-    return value
+    return _integer_at_least(2, text)
+
+
+_TWIRL_DIM_CAP = 1024  # twirl builds and eigen-decomposes dense D x D matrices whatever --samples is
+
+
+def _twirl_split(text: str) -> str:
+    try:
+        split = _parse_split(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if split.dim > _TWIRL_DIM_CAP:
+        raise argparse.ArgumentTypeError(f"d1*d2 must be at most {_TWIRL_DIM_CAP}, got {text}")
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
     output.add_argument("--out", default=None, help="write output to this path instead of stdout")
     seeded = argparse.ArgumentParser(add_help=False, parents=[output])
-    seeded.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    seeded.add_argument("--seed", type=_seed, default=0, help="random seed, an integer >= 0 (default 0)")
     sharded = argparse.ArgumentParser(add_help=False, parents=[seeded])
     sharded.add_argument("--workers", type=_count, default=1, help="random sub-streams for the shot loop (default 1)")
     state_input = argparse.ArgumentParser(add_help=False, parents=[output])
@@ -335,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("twirl", parents=[sharded], help="Monte Carlo group twirl")
     p.add_argument("--samples", type=_count, required=True)
-    p.add_argument("--split", default="2x2", help="bipartition as d1xd2 (default 2x2)")
+    p.add_argument("--split", type=_twirl_split, default="2x2",
+                   help=f"bipartition as d1xd2, d1*d2 <= {_TWIRL_DIM_CAP} (default 2x2)")
     p.set_defaults(handler=_cmd_twirl)
 
     p = sub.add_parser("superdense", parents=[seeded], help="frame-independent one-bit signaling")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .frames import apply_element
 from .linalg import BipartiteSplit, DensityOperator, Operator, StateVector, permutation_operator
-from .sampling import RngStream, random_m_element, random_maxent_state, random_state, sample_m_chunks
+from .sampling import random_m_element, random_maxent_state, random_state, sample_m_chunks
 
 _DIM_CAP = 4096  # dense operators and joint vectors stay cheap below this
 TOL_ORDERING = 1e-6  # ordering_discriminate: the signals weigh exactly 1 and 0; roundoff moves that by ~1e-15
@@ -49,7 +49,7 @@ class SuperdenseReport:
     decode_success: bool
 
 
-def superdense_round(d: int, bit: int, rng: RngStream, encoder: Operator | None = None) -> SuperdenseReport:
+def superdense_round(d: int, bit: int, rng: np.random.Generator, encoder: Operator | None = None) -> SuperdenseReport:
     """Send one bit through a maximally entangled d x d pair, frame-independently.
 
     The shared pair is Haar random and then scrambled by a random
@@ -152,7 +152,7 @@ def _hit_probabilities(det_phi: complex, v: np.ndarray, w: np.ndarray) -> np.nda
     return np.abs(_det2(v) * det_phi * _det2(w)) ** 2
 
 
-def sample_lambda_measurement(lam: float, shots: int, rng: RngStream) -> LambdaEstimate:
+def sample_lambda_measurement(lam: float, shots: int, rng: np.random.Generator) -> LambdaEstimate:
     """Estimate the smaller Schmidt parameter of sqrt(lam)|00> + sqrt(1-lam)|11>.
 
     Each shot disguises the pair by a fresh random decomposition-preserving
@@ -167,7 +167,7 @@ def sample_lambda_measurement(lam: float, shots: int, rng: RngStream) -> LambdaE
     det_phi = math.sqrt(lam) * math.sqrt(1.0 - lam)  # Phi = diag(sqrt(lam), sqrt(1 - lam))
     hits = 0
     for v, w, _ in sample_m_chunks(BipartiteSplit(2, 2), shots, rng):
-        hits += int((rng.generator.random(len(v)) < _hit_probabilities(det_phi, v, w)).sum())
+        hits += int((rng.random(len(v)) < _hit_probabilities(det_phi, v, w)).sum())
     return LambdaEstimate.from_hits(shots, hits)
 
 
@@ -240,7 +240,7 @@ class SymSpanReport:
     min_entangled_lambda_overlap: float
 
 
-def sym_span_analysis(samples: int, rng: RngStream) -> SymSpanReport:
+def sym_span_analysis(samples: int, rng: np.random.Generator) -> SymSpanReport:
     """Probe the geometry of duplicated states x (x) x on two two-qubit copies.
 
     Duplicated product states span a nine-dimensional slice of the

@@ -1,10 +1,10 @@
 """Seeded randomness: Haar-distributed unitaries and Monte Carlo twirling.
 
-All sampling goes through RngStream, a thin wrapper around numpy's
-counter-based Philox generator.  A given seed fixes every draw bit for bit,
-and streams can be split into independent child streams for worker-style
-decomposition.  Output is bit-reproducible for a given (seed, workers); a
-different worker count lays the draws out differently and gives other numbers.
+Every sampler draws from a numpy Generator made by seeded(), which fixes the
+counter-based Philox bit generator.  A given seed fixes every draw bit for
+bit, and Generator.spawn derives the independent worker streams.  Output is
+bit-reproducible for a given (seed, workers); a different worker count lays
+the draws out differently and gives other numbers.
 """
 
 from __future__ import annotations
@@ -19,33 +19,12 @@ from .linalg import BipartiteSplit, DensityOperator, Operator, StateVector
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-class RngStream:
-    """Deterministic random stream keyed by a 64-bit seed.
-
-    Wraps numpy's Philox bit generator.  split(n) derives n independent
-    child streams; children are reproducible functions of the parent seed
-    and the order in which splits were requested.
-    """
-
-    def __init__(self, seed: int, _sequence: np.random.SeedSequence | None = None):
-        self.seed = int(seed)
-        self._sequence = np.random.SeedSequence(self.seed) if _sequence is None else _sequence
-        self._generator = np.random.Generator(np.random.Philox(self._sequence))
-
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._generator
-
-    def split(self, n: int) -> list["RngStream"]:
-        if n < 1:
-            raise ValueError("cannot split into fewer than one stream")
-        return [RngStream(self.seed, child) for child in self._sequence.spawn(n)]
-
-    def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed})"
+def seeded(seed: int) -> np.random.Generator:
+    """The random stream for `seed`: Philox, which is part of the stream layout."""
+    return np.random.Generator(np.random.Philox(seed))
 
 
-def haar_unitary_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
+def haar_unitary_batch(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of `count` Haar-distributed dim x dim unitaries, shape (count, dim, dim).
 
     Ginibre matrix -> the Q of its QR with positive real diag(R), which is exactly
@@ -56,8 +35,7 @@ def haar_unitary_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    g = rng.generator
-    z = (g.standard_normal((count, dim, dim)) + 1j * g.standard_normal((count, dim, dim))) * _INV_SQRT2
+    z = (rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))) * _INV_SQRT2
     if dim <= 3:
         for j in range(dim):
             col = z[:, :, j]
@@ -71,26 +49,25 @@ def haar_unitary_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
     return q * (diag / np.abs(diag))[:, None, :]
 
 
-def haar_unitary(dim: int, rng: RngStream) -> Operator:
+def haar_unitary(dim: int, rng: np.random.Generator) -> Operator:
     """One Haar-distributed unitary."""
     return Operator(haar_unitary_batch(dim, 1, rng)[0])
 
 
-def random_state(dim: int, rng: RngStream) -> StateVector:
+def random_state(dim: int, rng: np.random.Generator) -> StateVector:
     """Haar-distributed pure state (normalized complex Gaussian vector)."""
-    g = rng.generator
-    z = g.standard_normal(dim) + 1j * g.standard_normal(dim)
+    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return StateVector.normalized(z)
 
 
-def random_product_state(split: BipartiteSplit, rng: RngStream) -> StateVector:
+def random_product_state(split: BipartiteSplit, rng: np.random.Generator) -> StateVector:
     """Tensor product of independent Haar-distributed factor states."""
     a = random_state(split.d1, rng)
     b = random_state(split.d2, rng)
     return StateVector(np.kron(a.amps, b.amps))
 
 
-def random_maxent_state(d: int, rng: RngStream) -> StateVector:
+def random_maxent_state(d: int, rng: np.random.Generator) -> StateVector:
     """Haar-random maximally entangled state on a d x d split.
 
     Local unitaries applied to the uniform diagonal state sum_k |kk>/sqrt(d);
@@ -104,7 +81,7 @@ def random_maxent_state(d: int, rng: RngStream) -> StateVector:
 _CHUNK = 4096  # group samples per batch: bounds memory, and is part of the stream layout
 
 
-def sample_m_chunks(split: BipartiteSplit, n: int, rng: RngStream):
+def sample_m_chunks(split: BipartiteSplit, n: int, rng: np.random.Generator):
     """Yield raw arrays (v stack, w stack, swap flags) for n group samples, at most _CHUNK at a time.
 
     Each batch draws all v, then all w, then swap bits, and only when requested,
@@ -115,13 +92,13 @@ def sample_m_chunks(split: BipartiteSplit, n: int, rng: RngStream):
         v = haar_unitary_batch(split.d1, m, rng)
         w = haar_unitary_batch(split.d2, m, rng)
         if split.d1 == split.d2:
-            swaps = rng.generator.integers(0, 2, size=m).astype(bool)
+            swaps = rng.integers(0, 2, size=m).astype(bool)
         else:
             swaps = np.zeros(m, dtype=bool)
         yield v, w, swaps
 
 
-def random_m_element(split: BipartiteSplit, rng: RngStream) -> MeronomicElement:
+def random_m_element(split: BipartiteSplit, rng: np.random.Generator) -> MeronomicElement:
     """Haar-random decomposition-preserving element.
 
     Both factors are independent Haar unitaries; for square splits the swap
@@ -144,7 +121,7 @@ def twirl_monte_carlo(
     rho: DensityOperator,
     split: BipartiteSplit,
     n: int,
-    rng: RngStream,
+    rng: np.random.Generator,
 ) -> DensityOperator:
     """Monte Carlo estimate of the group twirl of rho from n random elements.
 

@@ -26,7 +26,6 @@ from .frames import (
 )
 from .linalg import TOL_ALGEBRA, TOL_EIGEN, BipartiteSplit, Operator, StateVector, phase_fix
 from .sampling import (
-    RngStream,
     haar_unitary,
     random_m_element,
     random_maxent_state,
@@ -173,7 +172,7 @@ def member_recognition_check(elem: MeronomicElement) -> Verdict:
     )
 
 
-def nonmember_product_check(u: Operator, split: BipartiteSplit, rng: RngStream) -> Verdict:
+def nonmember_product_check(u: Operator, split: BipartiteSplit, rng: np.random.Generator) -> Verdict:
     """A rejected unitary must send some product state to an entangled one."""
     for _ in range(PROBES):
         probe = random_product_state(split, rng)
@@ -182,7 +181,7 @@ def nonmember_product_check(u: Operator, split: BipartiteSplit, rng: RngStream) 
     return Verdict(False, f"all {PROBES} product probes stayed product", witness=u.entries)
 
 
-def nonmember_maxent_check(u: Operator, rng: RngStream) -> Verdict:
+def nonmember_maxent_check(u: Operator, rng: np.random.Generator) -> Verdict:
     """A rejected two-qubit unitary must break maximal entanglement somewhere."""
     split = BipartiteSplit(2, 2)
     for _ in range(PROBES):
@@ -193,7 +192,7 @@ def nonmember_maxent_check(u: Operator, rng: RngStream) -> Verdict:
 
 
 def _trial_element(
-    split: BipartiteSplit, index: int, rng: RngStream, elements: Optional[Sequence[MeronomicElement]]
+    split: BipartiteSplit, index: int, rng: np.random.Generator, elements: Optional[Sequence[MeronomicElement]]
 ) -> MeronomicElement:
     if elements:
         return elements[index % len(elements)]
@@ -201,7 +200,7 @@ def _trial_element(
 
 
 def check_theorem1_suite(
-    trials: int, rng: RngStream, elements: Optional[Sequence[MeronomicElement]] = None
+    trials: int, rng: np.random.Generator, elements: Optional[Sequence[MeronomicElement]] = None
 ) -> Verdict:
     """Sampled check that decomposition preservation, Schmidt preservation and
     product-form factorization single out the same unitaries.
@@ -236,7 +235,7 @@ def check_theorem1_suite(
 
 
 def check_theorem2_suite(
-    trials: int, rng: RngStream, elements: Optional[Sequence[MeronomicElement]] = None
+    trials: int, rng: np.random.Generator, elements: Optional[Sequence[MeronomicElement]] = None
 ) -> Verdict:
     """Sampled check that, on two qubits, exactly the decomposition-preserving
     unitaries preserve maximal entanglement.
@@ -267,7 +266,7 @@ def check_theorem2_suite(
     return Verdict(True, f"{trials} trials on the 2x2 split passed")
 
 
-def _traceless_hermitian_unitary(rng: RngStream) -> np.ndarray:
+def _traceless_hermitian_unitary(rng: np.random.Generator) -> np.ndarray:
     v = haar_unitary(2, rng).entries
     return v @ np.diag([1.0, -1.0]).astype(np.complex128) @ v.conj().T
 
@@ -276,7 +275,7 @@ def _apply_second(u: np.ndarray, state: StateVector) -> StateVector:
     return StateVector((state.amps.reshape(2, 2) @ u.T).reshape(-1))
 
 
-def check_lemmas_suite(trials: int, rng: RngStream) -> Verdict:
+def check_lemmas_suite(trials: int, rng: np.random.Generator) -> Verdict:
     """Run both superposition lemmas on constructed and random instances.
 
     Per trial: an anti-Hermitian relative unitary (superposition must stay

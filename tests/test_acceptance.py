@@ -41,11 +41,11 @@ from meronome.protocols import (
     tau_states,
 )
 from meronome.sampling import (
-    RngStream,
     exact_twirl,
     random_m_element,
     random_maxent_state,
     random_state,
+    seeded,
     twirl_monte_carlo,
 )
 from meronome.theorems import (
@@ -117,9 +117,9 @@ def test_03_pauli_dictionary():
         }
         for (label, side), expected in table.items():
             assert np.abs(ab_pauli(label, side).entries - expected).max() < 1e-12
-        rng = RngStream(101)
+        rng = seeded(101)
         for _ in range(10):
-            alpha, beta = rng.generator.standard_normal(2)
+            alpha, beta = rng.standard_normal(2)
             ham = spin_hamiltonian(alpha, beta).entries
             combo = alpha * ab_pauli("Z", "A").entries + beta * ab_pauli("Z", "B").entries
             assert np.abs(ham - combo).max() < 1e-12
@@ -131,7 +131,7 @@ def test_03_pauli_dictionary():
 def test_04_twirl_washout():
     with criterion(4, "group twirl sends a Bell state to the uniform mixture"):
         rho = DensityOperator.from_state(BELL_STATES[0])
-        estimate = twirl_monte_carlo(rho, S22, 100_000, RngStream(42))
+        estimate = twirl_monte_carlo(rho, S22, 100_000, seeded(42))
         uniform = np.eye(4) / 4
         assert np.linalg.norm(estimate.entries - uniform) <= 0.02
         assert np.array_equal(exact_twirl(S22).entries, uniform)
@@ -140,7 +140,7 @@ def test_04_twirl_washout():
 def test_05_superdense_signaling():
     with criterion(5, "one-bit signaling succeeds without a shared frame"):
         for d in (2, 3, 4):
-            rng = RngStream(1000 + d)
+            rng = seeded(1000 + d)
             for _ in range(100):
                 for bit in (0, 1):
                     report = superdense_round(d, bit, rng)
@@ -151,7 +151,7 @@ def test_05_superdense_signaling():
 
 def test_06_invariant_effect_probability():
     with criterion(6, "invariant effect measures lambda(1-lambda) through disguises"):
-        rng = RngStream(7)
+        rng = seeded(7)
         for lam in (0.0, 0.1, 0.25, 0.5):
             amps = np.zeros(4, dtype=complex)
             amps[0] = math.sqrt(lam)
@@ -162,7 +162,7 @@ def test_06_invariant_effect_probability():
                 disguised = apply_element(random_m_element(S22, rng), state, S22)
                 assert abs(lambda_effect_probability(disguised) - expected) < 1e-10
             shots = 100_000
-            estimate = sample_lambda_measurement(lam, shots, RngStream(500 + int(lam * 100)))
+            estimate = sample_lambda_measurement(lam, shots, seeded(500 + int(lam * 100)))
             sigma = math.sqrt(expected * (1 - expected) / shots)
             assert abs(estimate.p_hat - expected) <= 4 * sigma + 1e-12, lam
 
@@ -171,7 +171,7 @@ def test_07_symmetric_subspace_geometry():
     with criterion(7, "duplicated products span 9 of the 10 symmetric dimensions"):
         proj = sym_projector(4, 2).entries
         assert abs(proj.trace().real - 10) < 1e-10
-        report = sym_span_analysis(50, RngStream(1))
+        report = sym_span_analysis(50, seeded(1))
         assert report.sym_dim == 10
         assert report.product_span_rank == 9
         assert report.max_lambda_overlap <= 1e-10
@@ -180,10 +180,10 @@ def test_07_symmetric_subspace_geometry():
 
 def test_08_reference_frame_effect():
     with criterion(8, "symmetric measurement realizes the reference-frame effect"):
-        rng = RngStream(22)
+        rng = seeded(22)
         for _ in range(100):
-            d = int(rng.generator.integers(2, 5))
-            n = int(rng.generator.integers(1, 4))
+            d = int(rng.integers(2, 5))
+            n = int(rng.integers(1, 4))
             psi, phi = random_state(d, rng), random_state(d, rng)
             direct = measure_sym_subspace(psi, phi, n)
             effect = reference_frame_effect(phi, n).entries
@@ -199,7 +199,7 @@ def test_09_ordering_discrimination():
         assert abs(np.trace(tau.entries @ tau_prime.entries)) <= 1e-12
         assert ordering_discriminate(tau) is OrderingVerdict.SAME
         assert ordering_discriminate(tau_prime) is OrderingVerdict.SWAPPED
-        rng = RngStream(33)
+        rng = seeded(33)
         count = 0
         while count < 100:
             elem = random_m_element(S22, rng)
@@ -214,13 +214,13 @@ def test_09_ordering_discrimination():
 def test_10_theorem_suites():
     with criterion(10, "preservation theorems verify and catch injected faults"):
         for seed in (0, 1, 2):
-            assert check_theorem1_suite(100, RngStream(seed)).passed
-            assert check_theorem2_suite(100, RngStream(seed)).passed
-        rng = RngStream(18)
+            assert check_theorem1_suite(100, seeded(seed)).passed
+            assert check_theorem2_suite(100, seeded(seed)).passed
+        rng = seeded(18)
         for _ in range(100):
             base = random_maxent_state(2, rng)
             v = np.linalg.qr(
-                rng.generator.standard_normal((2, 2)) + 1j * rng.generator.standard_normal((2, 2))
+                rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             )[0]
             h = v @ np.diag([1.0, -1.0]).astype(complex) @ v.conj().T
             anti_image = StateVector((base.amps.reshape(2, 2) @ (1j * h).T).reshape(-1))
@@ -230,5 +230,5 @@ def test_10_theorem_suites():
         faulted = MeronomicElement.identity(S22)
         object.__setattr__(faulted, "w", Operator(np.diag([1.0, 0.5]).astype(complex)))
         for suite in (check_theorem1_suite, check_theorem2_suite):
-            verdict = suite(1, RngStream(0), elements=[faulted])
+            verdict = suite(1, seeded(0), elements=[faulted])
             assert not verdict.passed and verdict.witness is not None

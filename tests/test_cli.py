@@ -274,6 +274,11 @@ def test_csv_format(capsys):
         ["refframe", "--n", "0", "--dim", "2"],
         ["frame", "theta", "--theta", "-inf"],                    # a negative special value is a value, not an option
         ["lambda", "--lambda", "-1e3", "--shots", "10"],
+        ["twirl", "--samples", "10", "--split", "33x32"],         # d1*d2 above the twirl cap
+        ["verify", "--suite", "thm1", "--trials", "5", "--seed", "-1"],
+        ["frame", "bell", "--theta", "1"],                        # --theta would be echoed but never read
+        ["schmidt", "--state", "1,0 0,0", "--split", "2x3x4"],
+        ["twirl", "--samples", "10", "--split", "2x"],
     ],
 )
 def test_bad_inputs_exit_2(capsys, argv):
@@ -309,6 +314,14 @@ def test_negative_scientific_notation_is_a_value(capsys):
         (["refframe", "--n", "0", "--dim", "2"], "argument --n: must be an integer >= 1, got 0"),
         (["refframe", "--n", "1", "--dim", "1"], "argument --dim: must be an integer >= 2, got 1"),
         (["superdense", "--dim", "1", "--trials", "5"], "argument --dim: must be an integer >= 2, got 1"),
+        (["twirl", "--samples", "10", "--split", "33x32"], "argument --split: d1*d2 must be at most 1024, got 33x32"),
+        (
+            ["verify", "--suite", "thm1", "--trials", "5", "--seed", "-1"],
+            "argument --seed: must be an integer >= 0, got -1",
+        ),
+        (["frame", "bell", "--theta", "1"], "--theta applies only to frame theta"),
+        (["schmidt", "--state", "1,0 0,0", "--split", "2x3x4"], "bad split '2x3x4'; expected d1xd2"),
+        (["twirl", "--samples", "10", "--split", "2x"], "argument --split: bad split '2x'; expected d1xd2"),
     ],
 )
 def test_bad_input_message_names_the_problem(capsys, argv, message):

@@ -22,7 +22,7 @@ from meronome.frames import (
     theta_frame_unitary,
 )
 from meronome.linalg import BipartiteSplit, DensityOperator, Operator, StateVector, distance_up_to_phase, partial_trace
-from meronome.sampling import RngStream, haar_unitary, random_m_element, random_product_state, random_state
+from meronome.sampling import haar_unitary, random_m_element, random_product_state, random_state, seeded
 
 S22 = BipartiteSplit(2, 2)
 ISQ2 = 1.0 / np.sqrt(2.0)
@@ -64,7 +64,7 @@ def test_schmidt_params_theta_family(theta):
 
 
 def test_schmidt_reconstruction_random():
-    rng = RngStream(2)
+    rng = seeded(2)
     for split in (S22, BipartiteSplit(2, 3), BipartiteSplit(3, 4)):
         for _ in range(30):
             state = random_state(split.dim, rng)
@@ -74,7 +74,7 @@ def test_schmidt_reconstruction_random():
 
 
 def test_schmidt_left_columns_are_phase_pinned():
-    rng = RngStream(3)
+    rng = seeded(3)
     for split in (S22, BipartiteSplit(3, 2), BipartiteSplit(2, 4)):
         for _ in range(10):
             dec = schmidt_decompose(random_state(split.dim, rng), split)
@@ -116,7 +116,7 @@ def test_classify_trivial_split_prefers_product():
 
 
 def test_classify_invariant_under_elements():
-    rng = RngStream(9)
+    rng = seeded(9)
     states = [UPSILON, StateVector(BELLS["psi-"]),
               theta_frame_unitary(0.7).apply(PLUS_PLUS)]
     for _ in range(25):
@@ -150,7 +150,7 @@ def test_apply_swap_element_on_basis():
 @pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_factored_action_matches_dense_matrix(d1, d2):
     split = BipartiteSplit(d1, d2)
-    rng = RngStream(12)
+    rng = seeded(12)
     swaps = set()
     for _ in range(12):
         elem = random_m_element(split, rng)
@@ -164,7 +164,7 @@ def test_factored_action_matches_dense_matrix(d1, d2):
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_swapped_operator_is_kron_times_swap_matrix(d):
-    rng = RngStream(d)
+    rng = seeded(d)
     for _ in range(20):
         elem = MeronomicElement(haar_unitary(d, rng), haar_unitary(d, rng), swap=True)
         expected = np.kron(elem.v.entries, elem.w.entries) @ swap_operator(d).entries
@@ -173,7 +173,7 @@ def test_swapped_operator_is_kron_times_swap_matrix(d):
 
 def test_singlet_is_isotropic():
     # V (x) V leaves the odd Bell state alone up to phase
-    rng = RngStream(4)
+    rng = seeded(4)
     singlet = StateVector(BELLS["psi-"])
     for _ in range(100):
         v = haar_unitary(2, rng)
@@ -185,7 +185,7 @@ def test_singlet_is_isotropic():
 def test_apply_element_split_mismatch():
     elem = MeronomicElement.identity(S22)
     with pytest.raises(ValueError):
-        apply_element(elem, random_state(6, RngStream(0)), BipartiteSplit(2, 3))
+        apply_element(elem, random_state(6, seeded(0)), BipartiteSplit(2, 3))
 
 
 # ---------------------------------------------------------------- worked frames
@@ -266,9 +266,9 @@ def test_spin_hamiltonian_zero():
 
 
 def test_spin_hamiltonian_is_sum_of_sides():
-    rng = RngStream(13)
+    rng = seeded(13)
     for _ in range(10):
-        alpha, beta = rng.generator.standard_normal(2)
+        alpha, beta = rng.standard_normal(2)
         ham = spin_hamiltonian(alpha, beta).entries
         split_form = alpha * ab_pauli("Z", "A").entries + beta * ab_pauli("Z", "B").entries
         assert np.abs(ham - split_form).max() < 1e-12
@@ -279,7 +279,7 @@ def test_spin_hamiltonian_is_sum_of_sides():
 # ---------------------------------------------------------------- membership
 
 def test_factor_constructed_members():
-    rng = RngStream(21)
+    rng = seeded(21)
     for split in (S22, BipartiteSplit(2, 3), BipartiteSplit(3, 3)):
         for _ in range(40):
             elem = random_m_element(split, rng)
@@ -304,10 +304,9 @@ def test_member_verdict_means_residual_within_tol(seed, log_eps, shape, tol):
     # A group element kicked off the group by exp(i eps H): whatever the
     # verdict, it must agree with the residual it reports.
     d1, d2, swap = shape
-    rng = RngStream(seed)
+    rng = seeded(seed)
     elem = MeronomicElement(haar_unitary(d1, rng), haar_unitary(d2, rng), swap)
-    g = rng.generator
-    a = g.standard_normal((d1 * d2,) * 2) + 1j * g.standard_normal((d1 * d2,) * 2)
+    a = rng.standard_normal((d1 * d2,) * 2) + 1j * rng.standard_normal((d1 * d2,) * 2)
     values, vectors = np.linalg.eigh(a + a.conj().T)
     kick = (vectors * np.exp(1j * 10**log_eps * values)) @ vectors.conj().T
     result = factor_as_local(Operator(elem.to_operator().entries @ kick), BipartiteSplit(d1, d2), tol)
@@ -326,7 +325,7 @@ def test_factor_swap_matrix():
 
 
 def test_factor_phase_convention():
-    rng = RngStream(6)
+    rng = seeded(6)
     elem = random_m_element(S22, rng)
     result = factor_as_local(elem.to_operator(), S22)
     v = result.factors[0].entries
@@ -344,7 +343,7 @@ def test_factor_rejects_bell_frame_change():
     # the explicit witness is the product state UPSILON ...
     assert classify(u.apply(UPSILON), S22) is not Entanglement.PRODUCT
     # ... and a short random search also finds one
-    rng = RngStream(17)
+    rng = seeded(17)
     hits = sum(
         classify(u.apply(random_product_state(S22, rng)), S22) is not Entanglement.PRODUCT
         for _ in range(20)
@@ -363,7 +362,7 @@ def test_factor_rejects_dim_mismatch():
 
 
 def test_schmidt_preserved_by_elements():
-    rng = RngStream(3)
+    rng = seeded(3)
     for split in (S22, BipartiteSplit(2, 3)):
         for _ in range(50):
             elem = random_m_element(split, rng)

@@ -18,7 +18,7 @@ from meronome.linalg import (
     phase_fix,
     tensor_state,
 )
-from meronome.sampling import RngStream, haar_unitary, random_state
+from meronome.sampling import haar_unitary, random_state, seeded
 
 ISQ2 = 1.0 / np.sqrt(2.0)
 
@@ -34,9 +34,8 @@ def _state(amps) -> StateVector:
     return StateVector(np.asarray(amps, dtype=complex))
 
 
-def _random_density(dim: int, rng: RngStream) -> DensityOperator:
-    g = rng.generator
-    z = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
+def _random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     a = z @ z.conj().T
     return DensityOperator(a / a.trace().real)
 
@@ -118,7 +117,7 @@ def test_kron_bell_eigenstates():
 
 @given(seed=st.integers(0, 2**32 - 1))
 def test_kron_mixed_product_law(seed):
-    g = RngStream(seed).generator
+    g = seeded(seed)
     mats = g.standard_normal((4, 2, 2)) + 1j * g.standard_normal((4, 2, 2))
     a, b, c, d = (Operator(m) for m in mats)
     lhs = (kron(a, b) @ kron(c, d)).entries
@@ -162,7 +161,7 @@ def test_permute_rejects_bad_inputs():
 @given(seed=st.integers(0, 2**32 - 1), perm=st.permutations(list(range(3))))
 def test_permute_matches_matrix_action(seed, perm):
     dims = (2, 3, 2)
-    state = random_state(12, RngStream(seed))
+    state = random_state(12, seeded(seed))
     via_reshape = permute_subsystems(state, dims, perm)
     via_matrix = permutation_operator(dims, perm).apply(state)
     assert np.abs(via_reshape.amps - via_matrix.amps).max() < 1e-12
@@ -171,7 +170,7 @@ def test_permute_matches_matrix_action(seed, perm):
 @given(seed=st.integers(0, 2**32 - 1), perm=st.permutations(list(range(4))))
 def test_permute_inverse_roundtrip(seed, perm):
     dims = (2, 2, 3, 2)
-    state = random_state(24, RngStream(seed))
+    state = random_state(24, seeded(seed))
     forward = permute_subsystems(state, dims, perm)
     inverse = list(np.argsort(perm))
     new_dims = tuple(np.array(dims)[np.argsort(perm)])
@@ -218,7 +217,7 @@ def test_partial_trace_product_state_is_pure():
 
 @given(seed=st.integers(0, 2**32 - 1))
 def test_partial_trace_matches_loop_oracle(seed):
-    rho = _random_density(6, RngStream(seed))
+    rho = _random_density(6, seeded(seed))
     split = BipartiteSplit(2, 3)
     for keep in (0, 1):
         got = partial_trace(rho, split, keep).entries
@@ -227,7 +226,7 @@ def test_partial_trace_matches_loop_oracle(seed):
 
 @given(seed=st.integers(0, 2**32 - 1))
 def test_partial_trace_of_product_density(seed):
-    rng = RngStream(seed)
+    rng = seeded(seed)
     rho1 = _random_density(2, rng)
     rho2 = _random_density(3, rng)
     joint = DensityOperator(np.kron(rho1.entries, rho2.entries))
@@ -290,7 +289,7 @@ def test_eigenvector_phase_is_deterministic():
 # ---------------------------------------------------------------- norms and phases
 
 def test_unitary_application_preserves_norm():
-    rng = RngStream(42)
+    rng = seeded(42)
     for _ in range(100):
         u = haar_unitary(4, rng)
         state = random_state(4, rng)

@@ -30,7 +30,7 @@ from meronome.protocols import (
     sym_span_analysis,
     tau_states,
 )
-from meronome.sampling import RngStream, random_m_element, random_state, sample_m_chunks
+from meronome.sampling import random_m_element, random_state, sample_m_chunks, seeded
 
 S22 = BipartiteSplit(2, 2)
 
@@ -49,7 +49,7 @@ def _duplicated(elem: MeronomicElement) -> np.ndarray:
 
 
 def _unswapped_elements(seed: int, count: int):
-    rng = RngStream(seed)
+    rng = seeded(seed)
     for _ in range(count):
         elem = random_m_element(S22, rng)
         yield MeronomicElement(elem.v, elem.w, swap=False)
@@ -88,7 +88,7 @@ def test_shift_unitary_rejects_dim1():
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_superdense_round_both_bits(d):
-    rng = RngStream(31)
+    rng = seeded(31)
     for trial in range(20):
         quiet = superdense_round(d, 0, rng)
         assert quiet.overlap_modulus > 1 - 1e-10
@@ -100,16 +100,16 @@ def test_superdense_round_both_bits(d):
 
 def test_superdense_needs_traceless_encoder():
     # identity as the encoder leaves the shared state alone: bit 1 is lost
-    report = superdense_round(2, 1, RngStream(0), encoder=Operator.identity(2))
+    report = superdense_round(2, 1, seeded(0), encoder=Operator.identity(2))
     assert report.overlap_modulus > 1 - 1e-12
     assert not report.decode_success
 
 
 def test_superdense_validation():
     with pytest.raises(ValueError):
-        superdense_round(2, 2, RngStream(0))
+        superdense_round(2, 2, seeded(0))
     with pytest.raises(ValueError):
-        superdense_round(3, 0, RngStream(0), encoder=Operator.identity(2))
+        superdense_round(3, 0, seeded(0), encoder=Operator.identity(2))
 
 
 # ---------------------------------------------------------------- invariant state
@@ -125,7 +125,7 @@ def test_lambda_state_amplitudes():
 
 def test_lambda_state_invariant_under_duplicated_elements():
     lam = lambda_state()
-    rng = RngStream(14)
+    rng = seeded(14)
     for _ in range(100):
         moved = StateVector(_duplicated(random_m_element(S22, rng)) @ lam.amps)
         assert abs(abs(lam.overlap(moved)) - 1.0) < 1e-10
@@ -142,7 +142,7 @@ def test_lambda_effect_on_known_states():
 def test_lambda_effect_disguise_independent():
     from meronome.frames import apply_element
 
-    rng = RngStream(15)
+    rng = seeded(15)
     state = _two_qubit_diag(0.3)
     baseline = lambda_effect_probability(state)
     assert abs(baseline - 0.21) < 1e-12
@@ -153,7 +153,7 @@ def test_lambda_effect_disguise_independent():
 
 def test_lambda_effect_matches_overlap_with_lambda_state():
     lam = lambda_state()
-    rng = RngStream(16)
+    rng = seeded(16)
     for _ in range(100):
         phi = random_state(4, rng)
         overlap = lam.overlap(StateVector(np.kron(phi.amps, phi.amps)))
@@ -166,7 +166,7 @@ def test_lambda_effect_rejects_wrong_dim():
 
 
 def test_sample_lambda_zero_never_hits():
-    est = sample_lambda_measurement(0.0, 2000, RngStream(5))
+    est = sample_lambda_measurement(0.0, 2000, seeded(5))
     assert est.hits == 0
     assert est.p_hat == 0.0
     assert est.lambda_hat == 0.0
@@ -175,7 +175,7 @@ def test_sample_lambda_zero_never_hits():
 @pytest.mark.parametrize("lam", [0.25, 0.5])
 def test_sample_lambda_estimates(lam):
     shots = 100_000
-    est = sample_lambda_measurement(lam, shots, RngStream(40))
+    est = sample_lambda_measurement(lam, shots, seeded(40))
     p = lam * (1 - lam)
     sigma = math.sqrt(p * (1 - p) / shots)
     assert abs(est.p_hat - p) < 4 * sigma
@@ -186,9 +186,9 @@ def test_sample_lambda_estimates(lam):
 def test_hit_probabilities_match_lambda_overlap():
     # Oracle: the explicit <Lambda| phi' (x) phi'> contraction per shot, with
     # a non-symmetric Phi so that the swap bit changes the disguised state.
-    v, w, swaps = next(sample_m_chunks(S22, 64, RngStream(31)))
+    v, w, swaps = next(sample_m_chunks(S22, 64, seeded(31)))
     assert swaps.any() and not swaps.all()
-    g = RngStream(32).generator
+    g = seeded(32)
     phi = g.standard_normal((2, 2)) + 1j * g.standard_normal((2, 2))
     phi /= np.linalg.norm(phi)
     base = np.where(swaps[:, None, None], phi.T, phi)
@@ -199,12 +199,12 @@ def test_hit_probabilities_match_lambda_overlap():
 
 
 def test_sample_lambda_memory_is_bounded_in_shots():
-    sample_lambda_measurement(0.25, 10, RngStream(3))  # first-call allocations are not per shot
+    sample_lambda_measurement(0.25, 10, seeded(3))  # first-call allocations are not per shot
     peaks = []
     for shots in (40_000, 160_000):
         tracemalloc.start()
         try:
-            sample_lambda_measurement(0.25, shots, RngStream(3))
+            sample_lambda_measurement(0.25, shots, seeded(3))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -217,24 +217,24 @@ def test_sample_lambda_binomial_coverage():
     shots = 50_000
     for i in range(11):
         lam = 0.5 * i / 10
-        est = sample_lambda_measurement(lam, shots, RngStream(i))
+        est = sample_lambda_measurement(lam, shots, seeded(i))
         p = lam * (1 - lam)
         assert abs(est.p_hat - p) <= 5 * math.sqrt(p * (1 - p) / shots), (lam, est)
 
 
 def test_sample_lambda_reproducible():
-    a = sample_lambda_measurement(0.2, 5000, RngStream(8))
-    b = sample_lambda_measurement(0.2, 5000, RngStream(8))
+    a = sample_lambda_measurement(0.2, 5000, seeded(8))
+    b = sample_lambda_measurement(0.2, 5000, seeded(8))
     assert a == b
 
 
 def test_sample_lambda_validation():
     with pytest.raises(ValueError):
-        sample_lambda_measurement(0.7, 10, RngStream(0))
+        sample_lambda_measurement(0.7, 10, seeded(0))
     with pytest.raises(ValueError):
-        sample_lambda_measurement(-0.1, 10, RngStream(0))
+        sample_lambda_measurement(-0.1, 10, seeded(0))
     with pytest.raises(ValueError):
-        sample_lambda_measurement(0.2, 0, RngStream(0))
+        sample_lambda_measurement(0.2, 0, seeded(0))
 
 
 # ---------------------------------------------------------------- symmetric subspace
@@ -282,7 +282,7 @@ def test_sym_projector_size_guard():
 
 
 def test_measure_sym_aligned_passes():
-    phi = random_state(3, RngStream(1))
+    phi = random_state(3, seeded(1))
     assert abs(measure_sym_subspace(phi, phi, 2) - 1.0) < 1e-12
 
 
@@ -299,10 +299,10 @@ def test_measure_sym_balanced_two_references():
 
 
 def test_measure_sym_matches_effect_operator():
-    rng = RngStream(22)
+    rng = seeded(22)
     for _ in range(100):
-        d = int(rng.generator.integers(2, 5))
-        n = int(rng.generator.integers(1, 4))
+        d = int(rng.integers(2, 5))
+        n = int(rng.integers(1, 4))
         psi, phi = random_state(d, rng), random_state(d, rng)
         direct = measure_sym_subspace(psi, phi, n)
         effect = reference_frame_effect(phi, n).entries
@@ -329,7 +329,7 @@ def test_reference_frame_effect_spectrum():
 
 
 def test_sym_span_analysis_geometry():
-    report = sym_span_analysis(50, RngStream(1))
+    report = sym_span_analysis(50, seeded(1))
     assert report.sym_dim == 10
     assert report.product_span_rank == 9
     assert report.max_lambda_overlap < 1e-10
@@ -339,7 +339,7 @@ def test_sym_span_analysis_geometry():
 
 def test_sym_span_analysis_needs_samples():
     with pytest.raises(ValueError):
-        sym_span_analysis(19, RngStream(0))
+        sym_span_analysis(19, seeded(0))
 
 
 # ---------------------------------------------------------------- pair ordering
