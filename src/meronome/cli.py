@@ -146,19 +146,17 @@ def _cmd_pauli_table(args):
 
 
 def _partial_maxent(split: linalg.BipartiteSplit) -> linalg.DensityOperator:
-    m = min(split.d1, split.d2)
-    amps = np.zeros(split.dim, dtype=np.complex128)
-    for k in range(m):
-        amps[k * split.d2 + k] = 1.0 / math.sqrt(m)
+    amps = np.eye(split.d1, split.d2).reshape(-1) / math.sqrt(min(split.d1, split.d2))
     return linalg.DensityOperator.from_state(linalg.StateVector(amps))
 
 
 def _shards(total: int, workers: int, rng: np.random.Generator) -> list[tuple[int, np.random.Generator]]:
-    """(share, stream) pairs: all on `rng` for one worker, else near-equal shares on spawned sub-streams."""
+    """Nonempty (share, stream) pairs: all on `rng` for one worker, else near-equal shares on spawned sub-streams."""
     if workers == 1:
         return [(total, rng)]
     base, extra = divmod(total, workers)
-    return [(base + (i < extra), child) for i, child in enumerate(rng.spawn(workers))]
+    children = rng.spawn(workers)  # all of them, so the layout depends on `workers` alone; shares past `total` are 0
+    return [(base + (i < extra), child) for i, child in enumerate(children[:total])]
 
 
 def _cmd_twirl(args):
@@ -166,8 +164,7 @@ def _cmd_twirl(args):
     rho = _partial_maxent(split)
     acc = np.zeros((split.dim, split.dim), dtype=np.complex128)
     for share, stream in _shards(args.samples, args.workers, sampling.seeded(args.seed)):
-        if share:
-            acc += share * sampling.twirl_monte_carlo(rho, split, share, stream).entries
+        acc += share * sampling.twirl_monte_carlo(rho, split, share, stream).entries
     est = linalg.DensityOperator(acc / args.samples)
     dist = float(np.linalg.norm(est.entries - sampling.exact_twirl(split).entries))
     return {
@@ -200,8 +197,6 @@ def _cmd_superdense(args):
 
 def _cmd_lambda(args):
     lam = getattr(args, "lambda")
-    if args.shots < args.workers:
-        raise ValueError("--shots must be >= --workers")
     shards = _shards(args.shots, args.workers, sampling.seeded(args.seed))
     hits = sum(protocols.sample_lambda_measurement(lam, share, stream).hits for share, stream in shards)
     est = protocols.LambdaEstimate.from_hits(args.shots, hits)
@@ -305,11 +300,14 @@ def _count(text: str) -> int:
     return _integer_at_least(1, text)
 
 
+_DENSE_DIM_CAP = 1024  # rows of the largest dense matrix a command builds: twirl's D x D, superdense's d x d
+
+
 def _dimension(text: str) -> int:
-    return _integer_at_least(2, text)
-
-
-_TWIRL_DIM_CAP = 1024  # twirl builds and eigen-decomposes dense D x D matrices whatever --samples is
+    value = _integer_at_least(2, text)
+    if value > _DENSE_DIM_CAP:
+        raise argparse.ArgumentTypeError(f"must be at most {_DENSE_DIM_CAP}, got {text}")
+    return value
 
 
 def _twirl_split(text: str) -> str:
@@ -317,8 +315,8 @@ def _twirl_split(text: str) -> str:
         split = _parse_split(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if split.dim > _TWIRL_DIM_CAP:
-        raise argparse.ArgumentTypeError(f"d1*d2 must be at most {_TWIRL_DIM_CAP}, got {text}")
+    if split.dim > _DENSE_DIM_CAP:
+        raise argparse.ArgumentTypeError(f"d1*d2 must be at most {_DENSE_DIM_CAP}, got {text}")
     return text
 
 
@@ -356,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("twirl", parents=[sharded], help="Monte Carlo group twirl")
     p.add_argument("--samples", type=_count, required=True)
     p.add_argument("--split", type=_twirl_split, default="2x2",
-                   help=f"bipartition as d1xd2, d1*d2 <= {_TWIRL_DIM_CAP} (default 2x2)")
+                   help=f"bipartition as d1xd2, d1*d2 <= {_DENSE_DIM_CAP} (default 2x2)")
     p.set_defaults(handler=_cmd_twirl)
 
     p = sub.add_parser("superdense", parents=[seeded], help="frame-independent one-bit signaling")
@@ -404,13 +402,14 @@ def run(argv=None) -> int:
         result, failed = args.handler(args)
         elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
         text = _render({"command": args.command, "config": config, "result": result, "elapsed_ms": elapsed_ms}, args.fmt)
-    except ValueError as exc:
+        if args.out:
+            Path(args.out).write_text(text)
+    except (ValueError, OSError) as exc:  # OSError: a --state @path that cannot be read, an --out that cannot be written
+        message = f"{exc.filename}: {exc.strerror}" if isinstance(exc, OSError) and exc.filename else exc
         print(parser.format_usage(), file=sys.stderr, end="")
-        print(f"meronome: error: {exc}", file=sys.stderr)
+        print(f"meronome: error: {message}", file=sys.stderr)
         return 2
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 1 if failed else 0
 

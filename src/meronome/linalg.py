@@ -89,14 +89,14 @@ class StateVector:
 
     @classmethod
     def normalized(cls, values) -> "StateVector":
-        """Build a state from any finite nonzero amplitudes: divide by the largest modulus, then by the norm."""
+        """Build a state from any finite nonzero amplitudes: divide by the largest |re| or |im|, then by the norm."""
         arr = _as_complex_vector(values)
-        big = np.abs(arr.view(np.float64)).max(initial=0.0)  # largest |re| or |im|, so |z| <= sqrt(2) * big
+        big = np.abs(arr.view(np.float64)).max(initial=0.0)
         if not np.isfinite(big):
             raise ValueError("cannot normalize non-finite amplitudes")
         if big == 0.0:
             raise ValueError("cannot normalize a zero amplitude vector")
-        arr = arr / (float(np.abs(arr).max()) if big < 1e300 else float(big))  # past 1e300 |z| may overflow
+        arr = arr / float(big)  # now 1 <= max |z| <= sqrt(2): the norm can neither overflow nor underflow
         return cls(arr / np.linalg.norm(arr))
 
     @classmethod
@@ -219,19 +219,11 @@ def permute_subsystems(state: StateVector, dims, perm) -> StateVector:
 
 
 def permutation_operator(dims, perm) -> Operator:
-    """The unitary matrix implementing permute_subsystems(state, dims, perm)."""
+    """The unitary matrix implementing permute_subsystems(state, dims, perm): the same transpose on each column of 1."""
     dims, perm = _check_permutation(dims, perm)
     total = int(np.prod(dims))
-    multi = np.array(np.unravel_index(np.arange(total), dims))
-    out_dims = [0] * len(dims)
-    out_multi = np.empty_like(multi)
-    for i, target in enumerate(perm):
-        out_multi[target] = multi[i]
-        out_dims[target] = dims[i]
-    out_index = np.ravel_multi_index(tuple(out_multi), tuple(out_dims))
-    mat = np.zeros((total, total), dtype=np.complex128)
-    mat[out_index, np.arange(total)] = 1.0
-    return Operator(mat)
+    columns = np.eye(total, dtype=np.complex128).reshape(*dims, total)
+    return Operator(columns.transpose(*np.argsort(perm), len(dims)).reshape(total, total))
 
 
 def partial_trace(rho: DensityOperator, split: BipartiteSplit, keep: int) -> DensityOperator:

@@ -179,7 +179,7 @@ def _sym_basis_cached(d: int, n: int) -> np.ndarray:
     of one occupation state; each column is their equal-weight superposition.
     """
     total = d**n
-    digits = np.stack(np.unravel_index(np.arange(total), (d,) * n), axis=1)
+    digits = np.indices((d,) * n).reshape(n, total).T
     groups: dict[tuple, list[int]] = {}
     for index, key in enumerate(map(tuple, np.sort(digits, axis=1))):
         groups.setdefault(key, []).append(index)

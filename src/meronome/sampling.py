@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .frames import MeronomicElement
-from .linalg import BipartiteSplit, DensityOperator, Operator, StateVector
+from .linalg import BipartiteSplit, DensityOperator, Operator, StateVector, tensor_state
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -62,9 +62,7 @@ def random_state(dim: int, rng: np.random.Generator) -> StateVector:
 
 def random_product_state(split: BipartiteSplit, rng: np.random.Generator) -> StateVector:
     """Tensor product of independent Haar-distributed factor states."""
-    a = random_state(split.d1, rng)
-    b = random_state(split.d2, rng)
-    return StateVector(np.kron(a.amps, b.amps))
+    return tensor_state(random_state(split.d1, rng), random_state(split.d2, rng))
 
 
 def random_maxent_state(d: int, rng: np.random.Generator) -> StateVector:
@@ -74,8 +72,7 @@ def random_maxent_state(d: int, rng: np.random.Generator) -> StateVector:
     every maximally entangled state arises this way.
     """
     v, w = haar_unitary_batch(d, 2, rng)
-    diag = np.eye(d, dtype=np.complex128) / math.sqrt(d)
-    return StateVector((v @ diag @ w.T).reshape(-1))
+    return StateVector((v @ w.T).reshape(-1) / math.sqrt(d))
 
 
 _CHUNK = 4096  # group samples per batch: bounds memory, and is part of the stream layout

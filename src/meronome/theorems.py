@@ -12,6 +12,7 @@ with reproducible witnesses instead of raising, so they can run as suites.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -172,31 +173,30 @@ def member_recognition_check(elem: MeronomicElement) -> Verdict:
     )
 
 
+def _escaping_probe(draw, image_of, split: BipartiteSplit, cls: Entanglement, tol: float) -> Optional[StateVector]:
+    """The first of up to PROBES probes from draw() whose image is None or not of class `cls` at `tol`, else None."""
+    for _ in range(PROBES):
+        probe = draw()
+        image = image_of(probe)
+        if image is None or classify(image, split, tol) is not cls:
+            return probe
+    return None
+
+
 def nonmember_product_check(u: Operator, split: BipartiteSplit, rng: np.random.Generator) -> Verdict:
     """A rejected unitary must send some product state to an entangled one."""
-    for _ in range(PROBES):
-        probe = random_product_state(split, rng)
-        if classify(u.apply(probe), split, TOL_EIGEN) is not Entanglement.PRODUCT:
-            return Verdict(True, "found a product state mapped to an entangled state")
+    draw = partial(random_product_state, split, rng)
+    if _escaping_probe(draw, u.apply, split, Entanglement.PRODUCT, TOL_EIGEN) is not None:
+        return Verdict(True, "found a product state mapped to an entangled state")
     return Verdict(False, f"all {PROBES} product probes stayed product", witness=u.entries)
 
 
 def nonmember_maxent_check(u: Operator, rng: np.random.Generator) -> Verdict:
     """A rejected two-qubit unitary must break maximal entanglement somewhere."""
-    split = BipartiteSplit(2, 2)
-    for _ in range(PROBES):
-        probe = random_maxent_state(2, rng)
-        if classify(u.apply(probe), split, TOL_EIGEN) is not Entanglement.MAXIMALLY_ENTANGLED:
-            return Verdict(True, "found a maximally entangled state mapped off the maximal set")
+    draw = partial(random_maxent_state, 2, rng)
+    if _escaping_probe(draw, u.apply, BipartiteSplit(2, 2), Entanglement.MAXIMALLY_ENTANGLED, TOL_EIGEN) is not None:
+        return Verdict(True, "found a maximally entangled state mapped off the maximal set")
     return Verdict(False, f"all {PROBES} maximally entangled probes stayed maximal", witness=u.entries)
-
-
-def _trial_element(
-    split: BipartiteSplit, index: int, rng: np.random.Generator, elements: Optional[Sequence[MeronomicElement]]
-) -> MeronomicElement:
-    if elements:
-        return elements[index % len(elements)]
-    return random_m_element(split, rng)
 
 
 def check_theorem1_suite(
@@ -218,7 +218,7 @@ def check_theorem1_suite(
     for t in range(trials):
         splits = (elements[t % len(elements)].split,) if elements else default_splits
         for split in splits:
-            elem = _trial_element(split, t, rng, elements)
+            elem = elements[t % len(elements)] if elements else random_m_element(split, rng)
             probe = random_state(split.dim, rng)
             for verdict in (
                 schmidt_preservation_check(elem, probe, split),
@@ -250,14 +250,13 @@ def check_theorem2_suite(
     if elements and any(e.split != split for e in elements):
         raise ValueError("the two-qubit suite only takes 2x2 elements")
     for t in range(trials):
-        elem = _trial_element(split, t, rng, elements)
-        for _ in range(PROBES):
-            probe = random_maxent_state(2, rng)
-            image = _transform_raw(elem, probe)
-            if image is None or classify(image, split, TOL_ALGEBRA) is not Entanglement.MAXIMALLY_ENTANGLED:
-                return Verdict(
-                    False, f"trial {t}: element moved a maximally entangled state off the maximal set", probe.amps
-                )
+        elem = elements[t % len(elements)] if elements else random_m_element(split, rng)
+        draw = partial(random_maxent_state, 2, rng)
+        image_of = partial(_transform_raw, elem)
+        probe = _escaping_probe(draw, image_of, split, Entanglement.MAXIMALLY_ENTANGLED, TOL_ALGEBRA)
+        if probe is not None:
+            detail = f"trial {t}: element moved a maximally entangled state off the maximal set"
+            return Verdict(False, detail, probe.amps)
         candidate = haar_unitary(4, rng)
         if factor_as_local(candidate, split).verdict is Membership.NOT_MEMBER:
             verdict = nonmember_maxent_check(candidate, rng)

@@ -171,6 +171,14 @@ def test_lambda_workers_reproducible(capsys):
     assert first["result"]["estimate"]["shots"] == 900
 
 
+def test_lambda_skips_empty_shares_like_twirl(capsys):
+    # 2 shots over 5 workers: three sub-streams get no shots and are skipped, not rejected
+    code, payload, _ = _run_json(capsys, ["lambda", "--lambda", "0.1", "--shots", "2", "--workers", "5"])
+    assert code == 0
+    assert payload["result"]["estimate"]["shots"] == 2
+    assert payload["result"]["estimate"]["hits"] in (0, 1, 2)
+
+
 def test_refframe_command(capsys):
     _, payload, _ = _run_json(capsys, ["refframe", "--n", "9", "--dim", "2"])
     result = payload["result"]
@@ -256,7 +264,6 @@ def test_csv_format(capsys):
     "argv",
     [
         ["lambda", "--lambda", "0.7", "--shots", "10"],          # lam out of range
-        ["lambda", "--lambda", "0.1", "--shots", "2", "--workers", "5"],
         ["schmidt", "--state", "1,0 0,0", "--split", "4"],       # malformed split
         ["schmidt", "--state", "1 0", "--split", "2x1"],         # malformed amplitude
         ["schmidt", "--state", "1,0 0,0", "--split", "2x2"],     # wrong length
@@ -279,6 +286,11 @@ def test_csv_format(capsys):
         ["frame", "bell", "--theta", "1"],                        # --theta would be echoed but never read
         ["schmidt", "--state", "1,0 0,0", "--split", "2x3x4"],
         ["twirl", "--samples", "10", "--split", "2x"],
+        ["classify", "--state", "@/nonexistent/file", "--split", "2x2"],  # unreadable --state file
+        ["schmidt", "--state", "@/", "--split", "2x2"],                   # --state names a directory
+        ["ordering", "--out", "/nonexistent/dir/x.json"],                 # unwritable --out
+        ["superdense", "--dim", "1025", "--trials", "1"],                 # --dim above the dense cap
+        ["refframe", "--n", "1", "--dim", "1025"],
     ],
 )
 def test_bad_inputs_exit_2(capsys, argv):
@@ -322,6 +334,11 @@ def test_negative_scientific_notation_is_a_value(capsys):
         (["frame", "bell", "--theta", "1"], "--theta applies only to frame theta"),
         (["schmidt", "--state", "1,0 0,0", "--split", "2x3x4"], "bad split '2x3x4'; expected d1xd2"),
         (["twirl", "--samples", "10", "--split", "2x"], "argument --split: bad split '2x'; expected d1xd2"),
+        (["classify", "--state", "@/nonexistent/file", "--split", "2x2"], "/nonexistent/file: No such file or directory"),
+        (["schmidt", "--state", "@/", "--split", "2x2"], "/: Is a directory"),
+        (["ordering", "--out", "/nonexistent/dir/x.json"], "/nonexistent/dir/x.json: No such file or directory"),
+        (["superdense", "--dim", "1025", "--trials", "1"], "argument --dim: must be at most 1024, got 1025"),
+        (["refframe", "--n", "1", "--dim", "1025"], "argument --dim: must be at most 1024, got 1025"),
     ],
 )
 def test_bad_input_message_names_the_problem(capsys, argv, message):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -70,6 +72,17 @@ def test_state_normalized_modulus_beyond_float_range():
 def test_state_normalized_tiny_amplitudes():
     s = StateVector.normalized([1e-200, 0.0, 1e-200])
     assert_allclose(s.amps, [ISQ2, 0.0, ISQ2])
+
+
+def test_state_normalized_is_scale_invariant():
+    rng = seeded(12)
+    for _ in range(5):
+        z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        reference = StateVector.normalized(z).amps
+        for k in range(-300, 301):
+            amps = StateVector.normalized(z * 10.0**k).amps
+            assert abs(np.linalg.norm(amps) - 1.0) <= 1e-15, k
+            assert np.abs(amps - reference).max() <= 1e-15, k
 
 
 @pytest.mark.parametrize("amps", [[np.nan, 0, 0, 0], [np.inf, 0], [1.0, complex(0, -np.inf)]])
@@ -165,6 +178,26 @@ def test_permute_matches_matrix_action(seed, perm):
     via_reshape = permute_subsystems(state, dims, perm)
     via_matrix = permutation_operator(dims, perm).apply(state)
     assert np.abs(via_reshape.amps - via_matrix.amps).max() < 1e-12
+
+
+def _permutation_matrix_oracle(dims, perm) -> np.ndarray:
+    """Index-scatter construction: the basis vector with digit k_i at slot i goes to the one with k_i at slot perm[i]."""
+    total = int(np.prod(dims))
+    multi = np.array(np.unravel_index(np.arange(total), dims))
+    out_multi = np.empty_like(multi)
+    out_dims = [0] * len(dims)
+    for i, target in enumerate(perm):
+        out_multi[target] = multi[i]
+        out_dims[target] = dims[i]
+    mat = np.zeros((total, total), dtype=complex)
+    mat[np.ravel_multi_index(tuple(out_multi), tuple(out_dims)), np.arange(total)] = 1.0
+    return mat
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4), (2, 2, 2, 2), (3, 1, 2)])
+def test_permutation_operator_matches_index_scatter_oracle(dims):
+    for perm in itertools.permutations(range(len(dims))):
+        assert np.array_equal(permutation_operator(dims, perm).entries, _permutation_matrix_oracle(dims, perm)), perm
 
 
 @given(seed=st.integers(0, 2**32 - 1), perm=st.permutations(list(range(4))))

@@ -188,6 +188,18 @@ def test_nonmember_product_check_fails_on_member():
     assert not verdict.passed and verdict.witness is not None
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_nonmember_maxent_check_fails_on_member(swap):
+    # a genuine two-qubit member keeps every maximally entangled probe maximal, so this check must fail
+    rng = seeded(29)
+    elem = random_m_element(S22, rng)
+    elem = MeronomicElement(elem.v, elem.w, swap=swap)
+    verdict = nonmember_maxent_check(elem.to_operator(), rng)
+    assert not verdict.passed
+    assert verdict.detail == "all 20 maximally entangled probes stayed maximal"
+    assert_allclose(verdict.witness, elem.to_operator().entries)
+
+
 # ---------------------------------------------------------------- suites
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -236,6 +248,24 @@ def test_suites_fail_on_injected_fault():
         assert not verdict.passed
         assert verdict.witness is not None
         assert "trial 0" in verdict.detail
+
+
+@pytest.mark.parametrize(
+    "suite, detail",
+    [
+        (check_theorem1_suite, "trial 0 on 2x2: element annihilated the probe state"),
+        (check_theorem2_suite, "trial 0: element moved a maximally entangled state off the maximal set"),
+    ],
+)
+def test_suites_report_an_element_that_annihilates_the_probe(suite, detail):
+    # a zero factor sends every probe to the zero vector, which has no normalized image
+    elem = MeronomicElement.identity(S22)
+    object.__setattr__(elem, "w", Operator(np.zeros((2, 2), dtype=complex)))
+    verdict = suite(1, seeded(0), elements=[elem])
+    assert not verdict.passed
+    assert verdict.detail == detail
+    assert verdict.witness.shape == (4,)
+    assert abs(np.linalg.norm(verdict.witness) - 1.0) < 1e-12
 
 
 def test_suites_validate_trials():
