@@ -251,33 +251,31 @@ def spin_hamiltonian(alpha: float, beta: float) -> Operator:
     return Operator(alpha * np.kron(_SIGMA["Z"], _SIGMA["Z"]) + beta * np.kron(_SIGMA["X"], _SIGMA["X"]))
 
 
-def _realign(mat: np.ndarray, split: BipartiteSplit) -> np.ndarray:
-    # U[(i1 i2), (j1 j2)] -> R[(i1 j1), (i2 j2)]: product operators become rank one.
+def _try_product_form(branches: np.ndarray, split: BipartiteSplit, tol: float):
+    """Membership of the first branch (Local, then SwapLocal) whose unitaries v, w give phase * v (x) w
+    within tol, else NotMember with the smallest residual or, where no factors formed, rank-one defect."""
     d1, d2 = split.d1, split.d2
-    return mat.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
-
-
-def _try_product_form(mat: np.ndarray, split: BipartiteSplit, tol: float):
-    """((v, w), residual) when unitaries with mat ~ phase * v (x) w reconstruct mat within tol,
-    else (None, residual or, when no factors were formed, the rank-one defect)."""
-    d1, d2 = split.d1, split.d2
-    p, s, qh = np.linalg.svd(_realign(mat, split))
-    # For a unitary, sum(s^2) == d1*d2; rank one in the realigned picture
-    # means the top singular value carries all of it.
-    if s[0] ** 2 < (1.0 - tol) * d1 * d2:
-        return None, float(np.sqrt(max(d1 * d2 - s[0] ** 2, 0.0)))
-    a_raw = p[:, 0].reshape(d1, d1)
-    b_raw = qh[0, :].reshape(d2, d2)
-    # Nearest unitaries via the polar decomposition of each factor.
-    ua, _, vha = np.linalg.svd(a_raw)
-    ub, _, vhb = np.linalg.svd(b_raw)
-    v = ua @ vha
-    w = ub @ vhb
-    # Pin v's phase (v read row by row as one column); w takes it back, so v (x) w is unchanged.
-    flat, phases = phase_fix(v.reshape(-1, 1))
-    v, w = flat.reshape(d1, d1), w * phases[0]
-    residual = distance_up_to_phase(mat, np.kron(v, w))
-    return ((Operator(v), Operator(w)) if residual <= tol else None), residual
+    # U[(i1 i2), (j1 j2)] -> R[(i1 j1), (i2 j2)] per branch: product operators become rank one.
+    realigned = branches.reshape(-1, d1, d2, d1, d2).transpose(0, 1, 3, 2, 4).reshape(-1, d1 * d1, d2 * d2)
+    p, s, qh = np.linalg.svd(realigned)
+    best = np.inf
+    for k, mat in enumerate(branches):
+        # For a unitary sum(s^2) == d1*d2; rank one in the realigned picture means s[0] carries all of it.
+        if s[k, 0] ** 2 < (1.0 - tol) * d1 * d2:
+            best = min(best, float(np.sqrt(max(d1 * d2 - s[k, 0] ** 2, 0.0))))
+            continue
+        raw = p[k, :, 0].reshape(1, d1, d1), qh[k, 0, :].reshape(1, d2, d2)
+        # Nearest unitaries via the polar decomposition of each factor, in one SVD when d1 == d2.
+        stacks = [np.concatenate(raw)] if d1 == d2 else raw
+        v, w = (unitary for left, _, right in map(np.linalg.svd, stacks) for unitary in left @ right)
+        # Pin v's phase (v read row by row as one column); w takes it back, so v (x) w is unchanged.
+        flat, phases = phase_fix(v.reshape(-1, 1))
+        factors = Operator(flat.reshape(d1, d1)), Operator(w * phases[0])
+        residual = distance_up_to_phase(mat, kron(*factors).entries)
+        if residual <= tol:
+            return MembershipResult((Membership.LOCAL, Membership.SWAP_LOCAL)[k], factors, residual)
+        best = min(best, residual)
+    return MembershipResult(Membership.NOT_MEMBER, None, float(best))
 
 
 def factor_as_local(u: Operator, split: BipartiteSplit, tol: float = 1e-8) -> MembershipResult:
@@ -292,13 +290,5 @@ def factor_as_local(u: Operator, split: BipartiteSplit, tol: float = 1e-8) -> Me
     if not u.is_unitary(max(tol, TOL_ALGEBRA)):
         raise ValueError("membership test requires a unitary input")
 
-    branches = [(Membership.LOCAL, u.entries)]
-    if split.d1 == split.d2:
-        branches.append((Membership.SWAP_LOCAL, _times_swap(u.entries, split.d1)))
-    best = np.inf
-    for verdict, mat in branches:
-        factors, residual = _try_product_form(mat, split, tol)
-        if factors is not None:
-            return MembershipResult(verdict, factors, residual)
-        best = min(best, residual)
-    return MembershipResult(Membership.NOT_MEMBER, None, float(best))
+    branches = [u.entries, _times_swap(u.entries, split.d1)] if split.d1 == split.d2 else [u.entries]
+    return _try_product_form(np.array(branches), split, tol)

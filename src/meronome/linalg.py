@@ -188,8 +188,8 @@ def tensor_state(a: StateVector, b: StateVector) -> StateVector:
 
 
 def kron(a: Operator, b: Operator) -> Operator:
-    """Kronecker product a (x) b, matching the state index convention."""
-    return Operator(np.kron(a.entries, b.entries))
+    """Kronecker product a (x) b, matching the state index convention: a broadcast outer product, bitwise np.kron."""
+    return Operator((a.entries[:, None, :, None] * b.entries[None, :, None, :]).reshape(a.dim * b.dim, -1))
 
 
 def _check_permutation(dims, perm) -> tuple[tuple[int, ...], tuple[int, ...]]:

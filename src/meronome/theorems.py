@@ -7,6 +7,9 @@ entangled states.  Supporting lemmas relate superpositions of maximally
 entangled states to the Hermitian/anti-Hermitian character of the unitary
 connecting them.  The checks sample these statements and return Verdicts
 with reproducible witnesses instead of raising, so they can run as suites.
+The theorem suites draw each split's elements, probes and Haar candidates
+in stacks, every non-member check its PROBES probes up front; this stream
+layout replaced one draw per object, so seeds give other draws than before.
 """
 
 from __future__ import annotations
@@ -23,22 +26,17 @@ from .frames import (
     MeronomicElement,
     classify,
     factor_as_local,
-    schmidt_decompose,
 )
 from .linalg import TOL_ALGEBRA, TOL_EIGEN, BipartiteSplit, Operator, StateVector, phase_fix
-from .sampling import (
-    haar_unitary,
-    random_m_element,
-    random_maxent_state,
-    random_product_state,
-    random_state,
-)
+from .sampling import haar_unitary, haar_unitary_batch, random_maxent_state, sample_m_chunks
 
 _SQRT2 = np.sqrt(2.0)
+_S22 = BipartiteSplit(2, 2)
 
 # Verdicts on classes, (anti-)Hermiticity and membership residuals use TOL_EIGEN (1e-8); true ones hold to ~1e-15.
 TOL_DRIFT = 1e-9  # Schmidt parameters are squared singular values of a unit-norm matrix: a decade below TOL_EIGEN
 PROBES = 20  # probes per non-member check: one random probe already exposes a Haar non-member almost surely
+_STACK = 64  # trials per stacked draw: amortizes numpy's per-call cost; larger stacks raise peak memory
 
 
 @dataclass(frozen=True)
@@ -61,11 +59,10 @@ def relative_unitary(psi: StateVector, phi: StateVector) -> Operator:
     as u = |q0><p0| + |q1><p1|; the conditioned vectors of a maximally
     entangled state are orthonormal, which makes u unitary and unique.
     """
-    split = BipartiteSplit(2, 2)
     for name, state in (("psi", psi), ("phi", phi)):
         if state.dim != 4:
             raise ValueError(f"{name} must be a two-qubit state, got dim {state.dim}")
-        if classify(state, split, TOL_EIGEN) is not Entanglement.MAXIMALLY_ENTANGLED:
+        if classify(state, _S22, TOL_EIGEN) is not Entanglement.MAXIMALLY_ENTANGLED:
             raise ValueError(f"{name} is not maximally entangled within {TOL_EIGEN}")
     p = psi.amps.reshape(2, 2) * _SQRT2
     q = phi.amps.reshape(2, 2) * _SQRT2
@@ -78,7 +75,7 @@ def _superposition_entanglement(psi: StateVector, phi: StateVector):
     norm = np.linalg.norm(s)
     if abs(norm - 1.0) > TOL_EIGEN:
         return None, s
-    return classify(StateVector(s / norm), BipartiteSplit(2, 2), TOL_EIGEN), s
+    return classify(StateVector(s / norm), _S22, TOL_EIGEN), s
 
 
 def check_lemma_antihermitian(psi: StateVector, phi: StateVector) -> Verdict:
@@ -134,23 +131,27 @@ def gamma_delta(psi_local: StateVector, phi_local: StateVector) -> tuple[StateVe
     return gamma, delta
 
 
-def _transform_raw(elem: MeronomicElement, state: StateVector) -> Optional[StateVector]:
-    """Apply an element whose factors may be non-unitary and renormalize; None if the state collapses."""
-    out = elem.act(state.amps)
-    norm = np.linalg.norm(out)
-    if norm < 1e-12:
-        return None
-    return StateVector(out / norm)
+def _random_amps(rng: np.random.Generator, dims: tuple, count: int) -> np.ndarray:
+    """`count` Haar-random pure states on C^d for dims (d,), or product states on C^(d1*d2) for (d1, d2), as
+    rows: normalized complex Gaussian vectors (for a product, the normalized product of two)."""
+    z = rng.standard_normal((count, sum(dims))) + 1j * rng.standard_normal((count, sum(dims)))
+    if len(dims) == 2:
+        z = (z[:, : dims[0], None] * z[:, None, dims[0] :]).reshape(count, -1)
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def _maxent_amps(rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` Haar-random maximally entangled two-qubit states as rows: (u (x) 1)|Phi+> for Haar u."""
+    return haar_unitary_batch(2, count, rng).reshape(count, 4) / _SQRT2
 
 
 def schmidt_preservation_check(elem: MeronomicElement, state: StateVector, split: BipartiteSplit) -> Verdict:
     """Does the element keep the (sorted) Schmidt parameters of this state?"""
-    before = schmidt_decompose(state, split).params
-    transformed = _transform_raw(elem, state)
-    if transformed is None:
+    pair = np.array([state.amps, elem.act(state.amps)]).reshape(2, split.d1, split.d2)
+    before, after = np.linalg.svd(pair, compute_uv=False) ** 2  # the image's parameters, up to its squared norm
+    if after.sum() < 1e-24:
         return Verdict(False, "element annihilated the probe state", witness=state.amps)
-    after = schmidt_decompose(transformed, split).params
-    drift = float(np.abs(before - after).max())
+    drift = float(np.abs(before - after / after.sum()).max())
     if drift <= TOL_DRIFT:
         return Verdict(True, f"Schmidt parameters preserved (max drift {drift:.2e})")
     return Verdict(False, f"Schmidt parameters drifted by {drift:.2e} > {TOL_DRIFT}", witness=state.amps)
@@ -173,30 +174,47 @@ def member_recognition_check(elem: MeronomicElement) -> Verdict:
     )
 
 
-def _escaping_probe(draw, image_of, split: BipartiteSplit, cls: Entanglement, tol: float) -> Optional[StateVector]:
-    """The first of up to PROBES probes from draw() whose image is None or not of class `cls` at `tol`, else None."""
-    for _ in range(PROBES):
-        probe = draw()
-        image = image_of(probe)
-        if image is None or classify(image, split, tol) is not cls:
+def _escaping_probe(probes: np.ndarray, act, split: BipartiteSplit, cls: Entanglement, tol: float):
+    """The first of `probes` whose image under act is zero or, renormalized, not of class `cls` at tol; else None."""
+    for probe in probes:
+        image = act(probe)
+        norm = np.linalg.norm(image)
+        if norm < 1e-12 or classify(StateVector(image / norm), split, tol) is not cls:
             return probe
     return None
 
 
 def nonmember_product_check(u: Operator, split: BipartiteSplit, rng: np.random.Generator) -> Verdict:
-    """A rejected unitary must send some product state to an entangled one."""
-    draw = partial(random_product_state, split, rng)
-    if _escaping_probe(draw, u.apply, split, Entanglement.PRODUCT, TOL_EIGEN) is not None:
+    """A rejected unitary must send one of PROBES product states, drawn up front, to an entangled one."""
+    probes = _random_amps(rng, (split.d1, split.d2), PROBES)
+    if _escaping_probe(probes, u.entries.dot, split, Entanglement.PRODUCT, TOL_EIGEN) is not None:
         return Verdict(True, "found a product state mapped to an entangled state")
     return Verdict(False, f"all {PROBES} product probes stayed product", witness=u.entries)
 
 
 def nonmember_maxent_check(u: Operator, rng: np.random.Generator) -> Verdict:
-    """A rejected two-qubit unitary must break maximal entanglement somewhere."""
-    draw = partial(random_maxent_state, 2, rng)
-    if _escaping_probe(draw, u.apply, BipartiteSplit(2, 2), Entanglement.MAXIMALLY_ENTANGLED, TOL_EIGEN) is not None:
+    """A rejected two-qubit unitary must break maximal entanglement on one of PROBES probes drawn up front."""
+    probes = _maxent_amps(rng, PROBES)
+    if _escaping_probe(probes, u.entries.dot, _S22, Entanglement.MAXIMALLY_ENTANGLED, TOL_EIGEN) is not None:
         return Verdict(True, "found a maximally entangled state mapped off the maximal set")
     return Verdict(False, f"all {PROBES} maximally entangled probes stayed maximal", witness=u.entries)
+
+
+def _stacked_draws(split: BipartiteSplit, trials: int, elements, draw_probes, rng: np.random.Generator):
+    """Yield (element, probes, candidate) per trial on `split`, drawn in stacks of _STACK trials: the group
+    elements through sample_m_chunks (or the next of `elements`, cycled over `trials`, that are on `split`),
+    then draw_probes(n) as one array, then the Haar candidates."""
+    own = [e for e in (elements[t % len(elements)] for t in range(trials)) if e.split == split] if elements else None
+    count = trials if own is None else len(own)
+    for start in range(0, count, _STACK):
+        n = min(_STACK, count - start)
+        if own is None:
+            v, w, swaps = next(sample_m_chunks(split, n, rng))
+            elems = map(MeronomicElement, map(Operator, v), map(Operator, w), map(bool, swaps))
+        else:
+            elems = own[start : start + n]
+        probes = draw_probes(n)
+        yield from zip(elems, probes, map(Operator, haar_unitary_batch(split.dim, n, rng)))
 
 
 def check_theorem1_suite(
@@ -210,27 +228,23 @@ def check_theorem1_suite(
     that the test rejects must move at least one product state off the
     product set.  `elements` overrides the sampled group elements (cycled,
     each trial running on that element's own split), which is how deliberate
-    faults are injected.
+    faults are injected.  The verdict names the first failing trial, split
+    (2x2 before 2x3) and check (Schmidt, membership, non-member), in that order.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    default_splits = (BipartiteSplit(2, 2), BipartiteSplit(2, 3))
+    splits = dict.fromkeys(e.split for e in elements) if elements else (_S22, BipartiteSplit(2, 3))
+    # One lazy stream per split, so trials still run in order, and 2x2 before 2x3 within one.
+    draws = {s: _stacked_draws(s, trials, elements, partial(_random_amps, rng, (s.dim,)), rng) for s in splits}
     for t in range(trials):
-        splits = (elements[t % len(elements)].split,) if elements else default_splits
-        for split in splits:
-            elem = elements[t % len(elements)] if elements else random_m_element(split, rng)
-            probe = random_state(split.dim, rng)
-            for verdict in (
-                schmidt_preservation_check(elem, probe, split),
-                member_recognition_check(elem),
-            ):
-                if not verdict.passed:
-                    return Verdict(False, f"trial {t} on {split.d1}x{split.d2}: {verdict.detail}", verdict.witness)
-            candidate = haar_unitary(split.dim, rng)
-            if factor_as_local(candidate, split).verdict is Membership.NOT_MEMBER:
+        for split in (elements[t % len(elements)].split,) if elements else splits:
+            elem, probe, candidate = next(draws[split])
+            verdict = schmidt_preservation_check(elem, StateVector(probe), split)
+            verdict = member_recognition_check(elem) if verdict.passed else verdict
+            if verdict.passed and factor_as_local(candidate, split).verdict is Membership.NOT_MEMBER:
                 verdict = nonmember_product_check(candidate, split, rng)
-                if not verdict.passed:
-                    return Verdict(False, f"trial {t} on {split.d1}x{split.d2}: {verdict.detail}", verdict.witness)
+            if not verdict.passed:
+                return Verdict(False, f"trial {t} on {split.d1}x{split.d2}: {verdict.detail}", verdict.witness)
     return Verdict(True, f"{trials} trials on splits 2x2 and 2x3 passed")
 
 
@@ -246,19 +260,14 @@ def check_theorem2_suite(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    split = BipartiteSplit(2, 2)
-    if elements and any(e.split != split for e in elements):
+    if elements and any(e.split != _S22 for e in elements):
         raise ValueError("the two-qubit suite only takes 2x2 elements")
-    for t in range(trials):
-        elem = elements[t % len(elements)] if elements else random_m_element(split, rng)
-        draw = partial(random_maxent_state, 2, rng)
-        image_of = partial(_transform_raw, elem)
-        probe = _escaping_probe(draw, image_of, split, Entanglement.MAXIMALLY_ENTANGLED, TOL_ALGEBRA)
+    draw_probes = lambda n: _maxent_amps(rng, n * PROBES).reshape(n, PROBES, 4)
+    for t, (elem, probes, candidate) in enumerate(_stacked_draws(_S22, trials, elements, draw_probes, rng)):
+        probe = _escaping_probe(probes, elem.act, _S22, Entanglement.MAXIMALLY_ENTANGLED, TOL_ALGEBRA)
         if probe is not None:
-            detail = f"trial {t}: element moved a maximally entangled state off the maximal set"
-            return Verdict(False, detail, probe.amps)
-        candidate = haar_unitary(4, rng)
-        if factor_as_local(candidate, split).verdict is Membership.NOT_MEMBER:
+            return Verdict(False, f"trial {t}: element moved a maximally entangled state off the maximal set", probe)
+        if factor_as_local(candidate, _S22).verdict is Membership.NOT_MEMBER:
             verdict = nonmember_maxent_check(candidate, rng)
             if not verdict.passed:
                 return Verdict(False, f"trial {t}: {verdict.detail}", verdict.witness)

@@ -21,7 +21,15 @@ from meronome.frames import (
     swap_operator,
     theta_frame_unitary,
 )
-from meronome.linalg import BipartiteSplit, DensityOperator, Operator, StateVector, distance_up_to_phase, partial_trace
+from meronome.linalg import (
+    BipartiteSplit,
+    DensityOperator,
+    Operator,
+    StateVector,
+    distance_up_to_phase,
+    partial_trace,
+    phase_fix,
+)
 from meronome.sampling import haar_unitary, random_m_element, random_product_state, random_state, seeded
 
 S22 = BipartiteSplit(2, 2)
@@ -359,6 +367,59 @@ def test_factor_rejects_non_unitary():
 def test_factor_rejects_dim_mismatch():
     with pytest.raises(ValueError):
         factor_as_local(Operator.identity(4), BipartiteSplit(2, 3))
+
+
+def _oracle_try_product_form(mat, split, tol):
+    # The one-matrix-at-a-time membership step that the stacked one replaced: kept as the reference.
+    d1, d2 = split.d1, split.d2
+    p, s, qh = np.linalg.svd(mat.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2))
+    if s[0] ** 2 < (1.0 - tol) * d1 * d2:
+        return None, float(np.sqrt(max(d1 * d2 - s[0] ** 2, 0.0)))
+    ua, _, vha = np.linalg.svd(p[:, 0].reshape(d1, d1))
+    ub, _, vhb = np.linalg.svd(qh[0, :].reshape(d2, d2))
+    v, w = ua @ vha, ub @ vhb
+    flat, phases = phase_fix(v.reshape(-1, 1))
+    v, w = flat.reshape(d1, d1), w * phases[0]
+    residual = distance_up_to_phase(mat, np.kron(v, w))
+    return ((v, w) if residual <= tol else None), residual
+
+
+def _oracle_factor_as_local(u, split, tol):
+    branches = [(Membership.LOCAL, u)]
+    if split.d1 == split.d2:
+        branches.append((Membership.SWAP_LOCAL, u @ swap_operator(split.d1).entries))
+    best = np.inf
+    for verdict, mat in branches:
+        factors, residual = _oracle_try_product_form(mat, split, tol)
+        if factors is not None:
+            return verdict, factors, residual
+        best = min(best, residual)
+    return Membership.NOT_MEMBER, None, float(best)
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 2), (2, 3), (3, 3)])
+def test_stacked_membership_matches_the_one_matrix_oracle(d1, d2):
+    split, rng = BipartiteSplit(d1, d2), seeded(40 + 3 * d1 + d2)
+    cases = []
+    for _ in range(30):
+        v, w = haar_unitary(d1, rng), haar_unitary(d2, rng)
+        for swap in (False, True) if d1 == d2 else (False,):
+            cases.append(MeronomicElement(v, w, swap).to_operator().entries)
+        cases.append(haar_unitary(d1 * d2, rng).entries)
+        kick = np.diag(np.exp(1j * 1e-5 * rng.standard_normal(d1 * d2)))  # factors form, residual exceeds tol
+        cases.append(cases[-2] @ kick)
+    verdicts = set()
+    for mat in cases:
+        result = factor_as_local(Operator(mat), split, 1e-8)
+        verdict, factors, residual = _oracle_factor_as_local(mat, split, 1e-8)
+        verdicts.add(verdict)
+        assert result.verdict is verdict
+        assert result.residual == residual
+        if factors is None:
+            assert result.factors is None
+        else:
+            assert all(np.array_equal(got.entries, want) for got, want in zip(result.factors, factors))
+    assert verdicts == (set(Membership) if d1 == d2 else {Membership.LOCAL, Membership.NOT_MEMBER})
 
 
 def test_schmidt_preserved_by_elements():

@@ -1,7 +1,10 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from meronome import theorems
 from meronome.frames import (
     Entanglement,
     MeronomicElement,
@@ -11,6 +14,7 @@ from meronome.frames import (
 from meronome.linalg import BipartiteSplit, Operator, StateVector
 from meronome.sampling import haar_unitary, random_m_element, random_maxent_state, random_state, seeded
 from meronome.theorems import (
+    PROBES,
     Verdict,
     check_lemma_antihermitian,
     check_lemma_hermitian,
@@ -223,8 +227,8 @@ def test_lemmas_suite_passes(seed):
 @pytest.mark.parametrize(
     "suite, next_draw",
     [
-        (check_theorem1_suite, 0.5729487550539184),
-        (check_theorem2_suite, 0.9037603255325396),
+        (check_theorem1_suite, 0.396954320030786),
+        (check_theorem2_suite, 0.5483359665192086),
         (check_lemmas_suite, 0.45965191957059015),
     ],
 )
@@ -266,6 +270,72 @@ def test_suites_report_an_element_that_annihilates_the_probe(suite, detail):
     assert verdict.detail == detail
     assert verdict.witness.shape == (4,)
     assert abs(np.linalg.norm(verdict.witness) - 1.0) < 1e-12
+
+
+def _scaled_element(split: BipartiteSplit) -> MeronomicElement:
+    # 2 * identity keeps every state's Schmidt parameters after renormalizing, but is not unitary
+    elem = MeronomicElement.identity(split)
+    object.__setattr__(elem, "w", Operator(2.0 * np.eye(split.d2, dtype=complex)))
+    return elem
+
+
+def test_theorem1_suite_reports_the_smallest_failing_trial():
+    s23 = BipartiteSplit(2, 3)
+    good = MeronomicElement.identity(s23)
+    late_fault = MeronomicElement.identity(s23)
+    object.__setattr__(late_fault, "w", Operator(np.diag([1.0, 0.5, 0.25]).astype(complex)))
+    verdict = check_theorem1_suite(5, seeded(0), elements=[good, good, _faulted_element(), good, late_fault])
+    assert not verdict.passed
+    assert verdict.detail.startswith("trial 2 on 2x2: Schmidt parameters drifted by")
+
+
+def test_theorem1_suite_checks_schmidt_before_membership():
+    # the faulted element fails both checks, the scaled one only membership
+    verdict = check_theorem1_suite(1, seeded(0), elements=[_faulted_element()])
+    assert verdict.detail.startswith("trial 0 on 2x2: Schmidt parameters drifted by")
+    verdict = check_theorem1_suite(1, seeded(0), elements=[_scaled_element(S22)])
+    rejected = "membership test rejected the element: membership test requires a unitary input"
+    assert verdict.detail == f"trial 0 on 2x2: {rejected}"
+
+
+def test_theorem1_suite_runs_2x2_before_2x3_within_a_trial(monkeypatch):
+    calls = []
+
+    def failing_on(fail):
+        def check(elem, state, split):
+            calls.append(split)
+            if (split.d2, calls.count(split)) in fail:
+                return Verdict(False, "injected", witness=state.amps)
+            return Verdict(True, "fine")
+
+        return check
+
+    monkeypatch.setattr(theorems, "schmidt_preservation_check", failing_on({(2, 1), (3, 1)}))
+    assert check_theorem1_suite(3, seeded(0)).detail == "trial 0 on 2x2: injected"
+    # a 2x3 failure at trial 1 comes before a 2x2 failure at trial 3
+    calls.clear()
+    monkeypatch.setattr(theorems, "schmidt_preservation_check", failing_on({(2, 4), (3, 2)}))
+    assert check_theorem1_suite(5, seeded(0)).detail == "trial 1 on 2x3: injected"
+
+
+def test_nonmember_checks_draw_a_fixed_number_of_probes(monkeypatch):
+    # a non-member escapes on its first probe, a member on none: both consume the same PROBES probes
+    classified = []
+    monkeypatch.setattr(theorems, "classify", lambda *args: classified.append(args) or classify(*args))
+    s23 = BipartiteSplit(2, 3)
+    runs = [
+        (partial(nonmember_product_check, split=s23), haar_unitary(6, seeded(30)), Operator.identity(6)),
+        (nonmember_maxent_check, bell_frame_unitary(), Operator.identity(4)),
+    ]
+    for check, escapes_at_once, never_escapes in runs:
+        after = []
+        for u, probes_classified in ((escapes_at_once, 1), (never_escapes, PROBES)):
+            classified.clear()
+            rng = seeded(31)
+            check(u, rng=rng)
+            assert len(classified) == probes_classified
+            after.append(rng.random())
+        assert after[0] == after[1]
 
 
 def test_suites_validate_trials():
