@@ -24,6 +24,7 @@ import numpy as np
 
 from .linalg import (
     TOL_ALGEBRA,
+    TOL_EIGEN,
     BipartiteSplit,
     Operator,
     StateVector,
@@ -278,7 +279,7 @@ def _try_product_form(branches: np.ndarray, split: BipartiteSplit, tol: float):
     return MembershipResult(Membership.NOT_MEMBER, None, float(best))
 
 
-def factor_as_local(u: Operator, split: BipartiteSplit, tol: float = 1e-8) -> MembershipResult:
+def factor_as_local(u: Operator, split: BipartiteSplit, tol: float = TOL_EIGEN) -> MembershipResult:
     """Decide whether a unitary preserves the given decomposition.
 
     Local means u = phase * v (x) w; SwapLocal means u = phase * (v (x) w) * swap

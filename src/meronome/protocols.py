@@ -49,15 +49,15 @@ class SuperdenseReport:
     decode_success: bool
 
 
-def superdense_round(d: int, bit: int, rng: np.random.Generator, encoder: Operator | None = None) -> SuperdenseReport:
+def superdense_round(d: int, bit: int, rng: np.random.Generator) -> SuperdenseReport:
     """Send one bit through a maximally entangled d x d pair, frame-independently.
 
     The shared pair is Haar random and then scrambled by a random
     decomposition-preserving element, so neither party can rely on a
-    particular product basis.  Encoding bit 1 applies `encoder` w (default:
-    the traceless cyclic shift) to the first factor, as w @ Psi on the d x d
-    amplitude matrix; the receiver projects onto the original state and
-    decodes by majority of that outcome.
+    particular product basis.  Encoding bit 1 applies the traceless cyclic
+    shift w to the first factor, as w @ Psi on the d x d amplitude matrix;
+    the receiver projects onto the original state and decodes by majority
+    of that outcome.
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
@@ -66,10 +66,7 @@ def superdense_round(d: int, bit: int, rng: np.random.Generator, encoder: Operat
     scramble = random_m_element(split, rng)
     shared = apply_element(scramble, shared, split)
 
-    w = encoder if encoder is not None else shift_unitary(d)
-    if w.dim != d:
-        raise ValueError(f"encoder dim {w.dim} does not match d={d}")
-    sent = StateVector((w.entries @ shared.amps.reshape(d, d)).reshape(-1)) if bit == 1 else shared
+    sent = StateVector((shift_unitary(d).entries @ shared.amps.reshape(d, d)).reshape(-1)) if bit == 1 else shared
 
     overlap = shared.overlap(sent)
     p_same = abs(overlap) ** 2

@@ -1,10 +1,13 @@
-"""Seeded randomness: Haar-distributed unitaries and Monte Carlo twirling.
+"""Seeded randomness: Haar-distributed unitaries, states and group elements, and Monte Carlo twirling.
 
 Every sampler draws from a numpy Generator made by seeded(), which fixes the
 counter-based Philox bit generator.  A given seed fixes every draw bit for
 bit, and Generator.spawn derives the independent worker streams.  Output is
 bit-reproducible for a given (seed, workers); a different worker count lays
-the draws out differently and gives other numbers.
+the draws out differently and gives other numbers.  Each distribution has
+one stacked sampler here; the per-object samplers are its count-1 views, and
+no other module draws Gaussians or swap bits.  A maximally entangled state
+costs one Haar draw.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 import numpy as np
 
 from .frames import MeronomicElement
-from .linalg import BipartiteSplit, DensityOperator, Operator, StateVector, tensor_state
+from .linalg import BipartiteSplit, DensityOperator, Operator, StateVector
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -24,6 +27,13 @@ def seeded(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _check_stack(dim: int, count: int) -> None:
+    if dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {dim}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+
+
 def haar_unitary_batch(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of `count` Haar-distributed dim x dim unitaries, shape (count, dim, dim).
 
@@ -31,10 +41,7 @@ def haar_unitary_batch(dim: int, count: int, rng: np.random.Generator) -> np.nda
     Haar: up to dim 3 by modified Gram-Schmidt on the columns (several times
     faster), from dim 4 on by batched QR with columns rephased by diag(R).
     """
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    _check_stack(dim, count)
     z = (rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))) * _INV_SQRT2
     if dim <= 3:
         for j in range(dim):
@@ -54,25 +61,35 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> Operator:
     return Operator(haar_unitary_batch(dim, 1, rng)[0])
 
 
+def random_states(dims: tuple, count: int, rng: np.random.Generator) -> np.ndarray:
+    """`count` Haar-random pure states on C^d for dims (d,), or product states on C^(d1*d2) for (d1, d2), as
+    rows: normalized complex Gaussian vectors (for a product, the normalized product of two)."""
+    _check_stack(min(dims), count)
+    z = rng.standard_normal((count, sum(dims))) + 1j * rng.standard_normal((count, sum(dims)))
+    if len(dims) == 2:
+        z = (z[:, : dims[0], None] * z[:, None, dims[0] :]).reshape(count, -1)
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
 def random_state(dim: int, rng: np.random.Generator) -> StateVector:
-    """Haar-distributed pure state (normalized complex Gaussian vector)."""
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector.normalized(z)
+    """Haar-distributed pure state: the count-1 view of random_states."""
+    return StateVector(random_states((dim,), 1, rng)[0])
 
 
 def random_product_state(split: BipartiteSplit, rng: np.random.Generator) -> StateVector:
-    """Tensor product of independent Haar-distributed factor states."""
-    return tensor_state(random_state(split.d1, rng), random_state(split.d2, rng))
+    """Tensor product of independent Haar-distributed factor states: the count-1 view of random_states."""
+    return StateVector(random_states((split.d1, split.d2), 1, rng)[0])
+
+
+def random_maxent_states(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """`count` Haar-random maximally entangled states on a d x d split as rows: (u (x) 1)|Phi+> for Haar u,
+    which is all of them, since (v (x) w)|Phi+> = (v w^T (x) 1)|Phi+> and v w^T is Haar when v is."""
+    return haar_unitary_batch(d, count, rng).reshape(count, d * d) / math.sqrt(d)
 
 
 def random_maxent_state(d: int, rng: np.random.Generator) -> StateVector:
-    """Haar-random maximally entangled state on a d x d split.
-
-    Local unitaries applied to the uniform diagonal state sum_k |kk>/sqrt(d);
-    every maximally entangled state arises this way.
-    """
-    v, w = haar_unitary_batch(d, 2, rng)
-    return StateVector((v @ w.T).reshape(-1) / math.sqrt(d))
+    """Haar-random maximally entangled state on a d x d split: the count-1 view of random_maxent_states."""
+    return StateVector(random_maxent_states(d, 1, rng)[0])
 
 
 _CHUNK = 4096  # group samples per batch: bounds memory, and is part of the stream layout
@@ -95,14 +112,16 @@ def sample_m_chunks(split: BipartiteSplit, n: int, rng: np.random.Generator):
         yield v, w, swaps
 
 
-def random_m_element(split: BipartiteSplit, rng: np.random.Generator) -> MeronomicElement:
-    """Haar-random decomposition-preserving element.
+def random_m_elements(split: BipartiteSplit, n: int, rng: np.random.Generator) -> list[MeronomicElement]:
+    """n Haar-random decomposition-preserving elements: independent Haar factors, and for square splits
+    the swap with probability 1/2, otherwise never."""
+    chunks = sample_m_chunks(split, n, rng)
+    return [MeronomicElement(Operator(v), Operator(w), bool(s)) for c in chunks for v, w, s in zip(*c)]
 
-    Both factors are independent Haar unitaries; for square splits the swap
-    is included with probability 1/2, otherwise never.
-    """
-    v, w, swaps = next(sample_m_chunks(split, 1, rng))
-    return MeronomicElement(Operator(v[0]), Operator(w[0]), bool(swaps[0]))
+
+def random_m_element(split: BipartiteSplit, rng: np.random.Generator) -> MeronomicElement:
+    """Haar-random decomposition-preserving element: the count-1 view of random_m_elements."""
+    return random_m_elements(split, 1, rng)[0]
 
 
 def exact_twirl(split: BipartiteSplit) -> DensityOperator:

@@ -8,14 +8,13 @@ entangled states to the Hermitian/anti-Hermitian character of the unitary
 connecting them.  The checks sample these statements and return Verdicts
 with reproducible witnesses instead of raising, so they can run as suites.
 The theorem suites draw each split's elements, probes and Haar candidates
-in stacks, every non-member check its PROBES probes up front; this stream
-layout replaced one draw per object, so seeds give other draws than before.
+in stacks, and every non-member check its PROBES probes up front, all
+through the stacked samplers of meronome.sampling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,7 +27,7 @@ from .frames import (
     factor_as_local,
 )
 from .linalg import TOL_ALGEBRA, TOL_EIGEN, BipartiteSplit, Operator, StateVector, phase_fix
-from .sampling import haar_unitary, haar_unitary_batch, random_maxent_state, sample_m_chunks
+from .sampling import haar_unitary_batch, random_m_elements, random_maxent_state, random_maxent_states, random_states
 
 _SQRT2 = np.sqrt(2.0)
 _S22 = BipartiteSplit(2, 2)
@@ -131,20 +130,6 @@ def gamma_delta(psi_local: StateVector, phi_local: StateVector) -> tuple[StateVe
     return gamma, delta
 
 
-def _random_amps(rng: np.random.Generator, dims: tuple, count: int) -> np.ndarray:
-    """`count` Haar-random pure states on C^d for dims (d,), or product states on C^(d1*d2) for (d1, d2), as
-    rows: normalized complex Gaussian vectors (for a product, the normalized product of two)."""
-    z = rng.standard_normal((count, sum(dims))) + 1j * rng.standard_normal((count, sum(dims)))
-    if len(dims) == 2:
-        z = (z[:, : dims[0], None] * z[:, None, dims[0] :]).reshape(count, -1)
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
-def _maxent_amps(rng: np.random.Generator, count: int) -> np.ndarray:
-    """`count` Haar-random maximally entangled two-qubit states as rows: (u (x) 1)|Phi+> for Haar u."""
-    return haar_unitary_batch(2, count, rng).reshape(count, 4) / _SQRT2
-
-
 def schmidt_preservation_check(elem: MeronomicElement, state: StateVector, split: BipartiteSplit) -> Verdict:
     """Does the element keep the (sorted) Schmidt parameters of this state?"""
     pair = np.array([state.amps, elem.act(state.amps)]).reshape(2, split.d1, split.d2)
@@ -186,7 +171,7 @@ def _escaping_probe(probes: np.ndarray, act, split: BipartiteSplit, cls: Entangl
 
 def nonmember_product_check(u: Operator, split: BipartiteSplit, rng: np.random.Generator) -> Verdict:
     """A rejected unitary must send one of PROBES product states, drawn up front, to an entangled one."""
-    probes = _random_amps(rng, (split.d1, split.d2), PROBES)
+    probes = random_states((split.d1, split.d2), PROBES, rng)
     if _escaping_probe(probes, u.entries.dot, split, Entanglement.PRODUCT, TOL_EIGEN) is not None:
         return Verdict(True, "found a product state mapped to an entangled state")
     return Verdict(False, f"all {PROBES} product probes stayed product", witness=u.entries)
@@ -194,7 +179,7 @@ def nonmember_product_check(u: Operator, split: BipartiteSplit, rng: np.random.G
 
 def nonmember_maxent_check(u: Operator, rng: np.random.Generator) -> Verdict:
     """A rejected two-qubit unitary must break maximal entanglement on one of PROBES probes drawn up front."""
-    probes = _maxent_amps(rng, PROBES)
+    probes = random_maxent_states(2, PROBES, rng)
     if _escaping_probe(probes, u.entries.dot, _S22, Entanglement.MAXIMALLY_ENTANGLED, TOL_EIGEN) is not None:
         return Verdict(True, "found a maximally entangled state mapped off the maximal set")
     return Verdict(False, f"all {PROBES} maximally entangled probes stayed maximal", witness=u.entries)
@@ -202,17 +187,13 @@ def nonmember_maxent_check(u: Operator, rng: np.random.Generator) -> Verdict:
 
 def _stacked_draws(split: BipartiteSplit, trials: int, elements, draw_probes, rng: np.random.Generator):
     """Yield (element, probes, candidate) per trial on `split`, drawn in stacks of _STACK trials: the group
-    elements through sample_m_chunks (or the next of `elements`, cycled over `trials`, that are on `split`),
+    elements through random_m_elements (or the next of `elements`, cycled over `trials`, that are on `split`),
     then draw_probes(n) as one array, then the Haar candidates."""
     own = [e for e in (elements[t % len(elements)] for t in range(trials)) if e.split == split] if elements else None
     count = trials if own is None else len(own)
     for start in range(0, count, _STACK):
         n = min(_STACK, count - start)
-        if own is None:
-            v, w, swaps = next(sample_m_chunks(split, n, rng))
-            elems = map(MeronomicElement, map(Operator, v), map(Operator, w), map(bool, swaps))
-        else:
-            elems = own[start : start + n]
+        elems = random_m_elements(split, n, rng) if own is None else own[start : start + n]
         probes = draw_probes(n)
         yield from zip(elems, probes, map(Operator, haar_unitary_batch(split.dim, n, rng)))
 
@@ -233,9 +214,9 @@ def check_theorem1_suite(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    splits = dict.fromkeys(e.split for e in elements) if elements else (_S22, BipartiteSplit(2, 3))
+    splits = dict.fromkeys(e.split for e in elements[:trials]) if elements else (_S22, BipartiteSplit(2, 3))
     # One lazy stream per split, so trials still run in order, and 2x2 before 2x3 within one.
-    draws = {s: _stacked_draws(s, trials, elements, partial(_random_amps, rng, (s.dim,)), rng) for s in splits}
+    draws = {s: _stacked_draws(s, trials, elements, lambda n, d=s.dim: random_states((d,), n, rng), rng) for s in splits}
     for t in range(trials):
         for split in (elements[t % len(elements)].split,) if elements else splits:
             elem, probe, candidate = next(draws[split])
@@ -245,7 +226,8 @@ def check_theorem1_suite(
                 verdict = nonmember_product_check(candidate, split, rng)
             if not verdict.passed:
                 return Verdict(False, f"trial {t} on {split.d1}x{split.d2}: {verdict.detail}", verdict.witness)
-    return Verdict(True, f"{trials} trials on splits 2x2 and 2x3 passed")
+    names = " and ".join(f"{s.d1}x{s.d2}" for s in splits)
+    return Verdict(True, f"{trials} trials on split{'s' * (len(splits) > 1)} {names} passed")
 
 
 def check_theorem2_suite(
@@ -262,7 +244,7 @@ def check_theorem2_suite(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if elements and any(e.split != _S22 for e in elements):
         raise ValueError("the two-qubit suite only takes 2x2 elements")
-    draw_probes = lambda n: _maxent_amps(rng, n * PROBES).reshape(n, PROBES, 4)
+    draw_probes = lambda n: random_maxent_states(2, n * PROBES, rng).reshape(n, PROBES, 4)
     for t, (elem, probes, candidate) in enumerate(_stacked_draws(_S22, trials, elements, draw_probes, rng)):
         probe = _escaping_probe(probes, elem.act, _S22, Entanglement.MAXIMALLY_ENTANGLED, TOL_ALGEBRA)
         if probe is not None:
@@ -275,7 +257,7 @@ def check_theorem2_suite(
 
 
 def _traceless_hermitian_unitary(rng: np.random.Generator) -> np.ndarray:
-    v = haar_unitary(2, rng).entries
+    v = haar_unitary_batch(2, 1, rng)[0]
     return v @ np.diag([1.0, -1.0]).astype(np.complex128) @ v.conj().T
 
 

@@ -98,18 +98,9 @@ def test_superdense_round_both_bits(d):
         assert loud.decoded == 1 and loud.decode_success
 
 
-def test_superdense_needs_traceless_encoder():
-    # identity as the encoder leaves the shared state alone: bit 1 is lost
-    report = superdense_round(2, 1, seeded(0), encoder=Operator.identity(2))
-    assert report.overlap_modulus > 1 - 1e-12
-    assert not report.decode_success
-
-
 def test_superdense_validation():
     with pytest.raises(ValueError):
         superdense_round(2, 2, seeded(0))
-    with pytest.raises(ValueError):
-        superdense_round(3, 0, seeded(0), encoder=Operator.identity(2))
 
 
 # ---------------------------------------------------------------- invariant state

@@ -1,7 +1,12 @@
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import meronome
 from meronome.frames import Entanglement, MeronomicElement, classify, schmidt_decompose
 from meronome.linalg import BipartiteSplit, DensityOperator, Operator, StateVector
 from meronome.sampling import (
@@ -9,9 +14,12 @@ from meronome.sampling import (
     haar_unitary,
     haar_unitary_batch,
     random_m_element,
+    random_m_elements,
     random_maxent_state,
+    random_maxent_states,
     random_product_state,
     random_state,
+    random_states,
     sample_m_chunks,
     seeded,
     twirl_monte_carlo,
@@ -140,6 +148,63 @@ def test_random_maxent_state_is_maxent():
             state = random_maxent_state(d, rng)
             assert classify(state, split) is Entanglement.MAXIMALLY_ENTANGLED
             assert_allclose(schmidt_decompose(state, split).params, np.full(d, 1 / d), atol=1e-10)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_random_maxent_states_second_moment(d):
+    # psi = (u (x) 1)|Phi+> gives <Phi+|psi> = tr(u)/d, so E|<Phi+|psi>|^4 = E|tr u|^4 / d^4 = 2/d^4 for Haar u
+    rng = seeded(19)
+    phi_plus = np.eye(d).reshape(-1) / np.sqrt(d)
+    samples = np.concatenate([np.abs(random_maxent_states(d, 50_000, rng) @ phi_plus) ** 4 for _ in range(4)])
+    se = samples.std() / np.sqrt(samples.size)
+    assert abs(samples.mean() - 2.0 / d**4) < 5 * se
+
+
+@pytest.mark.parametrize("dims, dim, count", [((0,), 0, 1), ((2, 0), 0, 1), ((3,), 3, -1), ((2, 3), 2, -1)])
+def test_random_states_validation_matches_haar(dims, dim, count):
+    with pytest.raises(ValueError) as haar:
+        haar_unitary_batch(dim, count, seeded(0))
+    with pytest.raises(ValueError, match=re.escape(str(haar.value))):
+        random_states(dims, count, seeded(0))
+
+
+def _parts(elem: MeronomicElement):
+    return elem.v.entries, elem.w.entries, elem.swap
+
+
+_VIEWS = {
+    "state": (lambda rng: (random_state(3, rng).amps,), lambda rng: random_states((3,), 1, rng)),
+    "product": (lambda rng: (random_product_state(S23, rng).amps,), lambda rng: random_states((2, 3), 1, rng)),
+    "maxent": (lambda rng: (random_maxent_state(3, rng).amps,), lambda rng: random_maxent_states(3, 1, rng)),
+    "m_element": (lambda rng: _parts(random_m_element(S22, rng)), lambda rng: _parts(random_m_elements(S22, 1, rng)[0])),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("view, stacked", _VIEWS.values(), ids=_VIEWS.keys())
+def test_count1_view_is_its_stacked_sampler(view, stacked, seed):
+    rng_view, rng_stacked = seeded(seed), seeded(seed)
+    for _ in range(3):
+        for a, b in zip(view(rng_view), stacked(rng_stacked), strict=True):
+            assert np.array_equal(a, b)
+    assert rng_view.random() == rng_stacked.random()
+
+
+def test_only_sampling_draws_from_the_stream():
+    # Gaussians and swap bits are laid out in the stream by meronome.sampling alone; the lambda
+    # loop's uniforms and the CLI's worker streams are the only other Generator calls
+    allowed = {"protocols.py": {"random"}, "cli.py": {"spawn"}}
+    methods = {name for name in dir(np.random.Generator) if not name.startswith("_")}
+    calls = []
+    for path in sorted(Path(meronome.__file__).parent.glob("*.py")):
+        if path.name == "sampling.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in methods - allowed.get(path.name, set()):
+                    calls.append(f"{path.name}:{node.lineno} {node.func.attr}")
+    assert {"standard_normal", "integers"} <= methods
+    assert calls == []
 
 
 # ---------------------------------------------------------------- group sampling
