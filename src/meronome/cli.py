@@ -155,8 +155,8 @@ def _shards(total: int, workers: int, rng: np.random.Generator) -> list[tuple[in
     if workers == 1:
         return [(total, rng)]
     base, extra = divmod(total, workers)
-    children = rng.spawn(workers)  # all of them, so the layout depends on `workers` alone; shares past `total` are 0
-    return [(base + (i < extra), child) for i, child in enumerate(children[:total])]
+    # spawn(k) gives the first k children of spawn(workers): the empty shares past `total` need no stream
+    return [(base + (i < extra), child) for i, child in enumerate(rng.spawn(min(workers, total)))]
 
 
 def _cmd_twirl(args):
@@ -197,9 +197,7 @@ def _cmd_superdense(args):
 
 def _cmd_lambda(args):
     lam = getattr(args, "lambda")
-    shards = _shards(args.shots, args.workers, sampling.seeded(args.seed))
-    hits = sum(protocols.sample_lambda_measurement(lam, share, stream).hits for share, stream in shards)
-    est = protocols.LambdaEstimate.from_hits(args.shots, hits)
+    est = protocols.sample_lambda_measurement(lam, args.shots, sampling.seeded(args.seed))
     expected = lam * (1.0 - lam)
     sigma = math.sqrt(expected * (1.0 - expected) / args.shots)
     return {
@@ -285,29 +283,33 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _integer_at_least(minimum: int, text: str) -> int:
+def _bounded_integer(minimum: int, maximum: float, text: str) -> int:
     value = int(text)
     if value < minimum:
         raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text}")
+    if value > maximum:
+        raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {text}")
     return value
 
 
 def _seed(text: str) -> int:
-    return _integer_at_least(0, text)
+    return _bounded_integer(0, math.inf, text)
 
 
 def _count(text: str) -> int:
-    return _integer_at_least(1, text)
+    return _bounded_integer(1, math.inf, text)
 
 
 _DENSE_DIM_CAP = 1024  # rows of the largest dense matrix a command builds: twirl's D x D, superdense's d x d
+_WORKERS_CAP = 64  # twirl sub-streams; each spawned stream costs memory and time whatever the sample count
 
 
 def _dimension(text: str) -> int:
-    value = _integer_at_least(2, text)
-    if value > _DENSE_DIM_CAP:
-        raise argparse.ArgumentTypeError(f"must be at most {_DENSE_DIM_CAP}, got {text}")
-    return value
+    return _bounded_integer(2, _DENSE_DIM_CAP, text)
+
+
+def _workers(text: str) -> int:
+    return _bounded_integer(1, _WORKERS_CAP, text)
 
 
 def _twirl_split(text: str) -> str:
@@ -327,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--out", default=None, help="write output to this path instead of stdout")
     seeded = argparse.ArgumentParser(add_help=False, parents=[output])
     seeded.add_argument("--seed", type=_seed, default=0, help="random seed, an integer >= 0 (default 0)")
-    sharded = argparse.ArgumentParser(add_help=False, parents=[seeded])
-    sharded.add_argument("--workers", type=_count, default=1, help="random sub-streams for the shot loop (default 1)")
     state_input = argparse.ArgumentParser(add_help=False, parents=[output])
     state_input.add_argument("--state", required=True, help="re,im amplitude pairs; @file or - for stdin")
     state_input.add_argument("--split", required=True, help="bipartition as d1xd2")
@@ -351,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pauli-table", parents=[output], help="Bell-frame Pauli dictionary")
     p.set_defaults(handler=_cmd_pauli_table)
 
-    p = sub.add_parser("twirl", parents=[sharded], help="Monte Carlo group twirl")
+    p = sub.add_parser("twirl", parents=[seeded], help="Monte Carlo group twirl")
+    p.add_argument("--workers", type=_workers, default=1, help=f"random sub-streams, at most {_WORKERS_CAP} (default 1)")
     p.add_argument("--samples", type=_count, required=True)
     p.add_argument("--split", type=_twirl_split, default="2x2",
                    help=f"bipartition as d1xd2, d1*d2 <= {_DENSE_DIM_CAP} (default 2x2)")
@@ -362,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_count, required=True)
     p.set_defaults(handler=_cmd_superdense)
 
-    p = sub.add_parser("lambda", parents=[sharded], help="Schmidt-parameter estimation from the invariant effect")
+    p = sub.add_parser("lambda", parents=[seeded], help="Schmidt-parameter estimation from the invariant effect")
     p.add_argument("--lambda", type=float, required=True, help="smaller Schmidt parameter in [0, 0.5]")
     p.add_argument("--shots", type=_count, required=True)
     p.set_defaults(handler=_cmd_lambda)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .frames import apply_element
 from .linalg import BipartiteSplit, DensityOperator, Operator, StateVector, permutation_operator
-from .sampling import random_m_element, random_maxent_state, random_state, sample_m_chunks
+from .sampling import random_m_element, random_maxent_state, random_states, sample_m_chunks
 
 _DIM_CAP = 4096  # dense operators and joint vectors stay cheap below this
 TOL_ORDERING = 1e-6  # ordering_discriminate: the signals weigh exactly 1 and 0; roundoff moves that by ~1e-15
@@ -175,6 +175,8 @@ def _sym_basis_cached(d: int, n: int) -> np.ndarray:
     Computational indices with the same digit multiset are the arrangements
     of one occupation state; each column is their equal-weight superposition.
     """
+    if d > 1 and (n >= _DIM_CAP.bit_length() or d**n > _DIM_CAP):  # 2^n alone tops the cap from there on
+        raise ValueError(f"n = {n} copies of dimension d = {d} exceed the dense cap {_DIM_CAP} on d^n")
     total = d**n
     digits = np.indices((d,) * n).reshape(n, total).T
     groups: dict[tuple, list[int]] = {}
@@ -190,8 +192,6 @@ def sym_projector(d: int, n: int) -> Operator:
     """Orthogonal projector onto the symmetric subspace of n copies of a d-level system."""
     if d < 1 or n < 1:
         raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
-    if d**n > _DIM_CAP:
-        raise ValueError(f"total dimension {d**n} exceeds the dense cap {_DIM_CAP}")
     basis = _sym_basis_cached(d, n)
     return Operator(basis @ basis.conj().T)
 
@@ -203,12 +203,11 @@ def measure_sym_subspace(psi: StateVector, phi_ref: StateVector, n: int) -> floa
     d = psi.dim
     if n < 1:
         raise ValueError(f"need at least one reference copy, got {n}")
-    if d ** (n + 1) > _DIM_CAP:
-        raise ValueError(f"total dimension {d ** (n + 1)} exceeds the dense cap {_DIM_CAP}")
+    basis = _sym_basis_cached(d, n + 1)
     joint = psi.amps
     for _ in range(n):
         joint = np.kron(joint, phi_ref.amps)
-    coords = _sym_basis_cached(d, n + 1).conj().T @ joint
+    coords = basis.conj().T @ joint
     return float(np.vdot(coords, coords).real)
 
 
@@ -247,10 +246,8 @@ def sym_span_analysis(samples: int, rng: np.random.Generator) -> SymSpanReport:
     """
     if samples < 20:
         raise ValueError(f"need at least 20 samples for a meaningful span, got {samples}")
-    products = [np.kron(random_state(2, rng).amps, random_state(2, rng).amps) for _ in range(samples)]
-    entangled = [random_state(4, rng).amps for _ in range(samples)]
-    dup_products = np.array([np.kron(x, x) for x in products])
-    dup_entangled = np.array([np.kron(x, x) for x in entangled])
+    states = np.concatenate([random_states((2, 2), samples, rng), random_states((4,), samples, rng)])
+    dup_products, dup_entangled = (states[:, :, None] * states[:, None, :]).reshape(2, samples, 16)  # x (x) x
     singular = np.linalg.svd(dup_products, compute_uv=False)
     lam = lambda_state().amps.conj()
     return SymSpanReport(

@@ -2,9 +2,9 @@
 
 Every sampler draws from a numpy Generator made by seeded(), which fixes the
 counter-based Philox bit generator.  A given seed fixes every draw bit for
-bit, and Generator.spawn derives the independent worker streams.  Output is
-bit-reproducible for a given (seed, workers); a different worker count lays
-the draws out differently and gives other numbers.  Each distribution has
+bit.  Only the CLI's `twirl --workers` splits a run over several streams,
+spawned by Generator.spawn: its output is fixed by (seed, workers), and
+every other experiment's by the seed alone.  Each distribution has
 one stacked sampler here; the per-object samplers are its count-1 views, and
 no other module draws Gaussians or swap bits.  A maximally entangled state
 costs one Haar draw.

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from meronome import cli, theorems
+from meronome import cli, sampling, theorems
 
 ISQ2 = 1.0 / math.sqrt(2.0)
 PHI_PLUS_TEXT = f"{ISQ2},0 0,0 0,0 {ISQ2},0"
@@ -31,7 +31,7 @@ SCHEMA_CASES = [
     (["pauli-table"], OUTPUT_KEYS),
     (["twirl", "--samples", "10"], SEEDED_KEYS | {"workers", "samples", "split"}),
     (["superdense", "--dim", "2", "--trials", "1"], SEEDED_KEYS | {"dim", "trials"}),
-    (["lambda", "--lambda", "0.1", "--shots", "10"], SEEDED_KEYS | {"workers", "lambda", "shots"}),
+    (["lambda", "--lambda", "0.1", "--shots", "10"], SEEDED_KEYS | {"lambda", "shots"}),
     (["refframe", "--n", "1", "--dim", "2"], SEEDED_KEYS | {"n", "dim"}),
     (["ordering"], OUTPUT_KEYS),
     (["symspan", "--samples", "20"], SEEDED_KEYS | {"samples"}),
@@ -61,6 +61,7 @@ def test_payload_schema(capsys):
         ["ordering", "--seed", "1"],
         ["schmidt", "--state", PHI_PLUS_TEXT, "--split", "2x2", "--workers", "2"],
         ["superdense", "--dim", "2", "--trials", "1", "--workers", "2"],
+        ["lambda", "--lambda", "0.1", "--shots", "10", "--workers", "2"],
     ],
 )
 def test_option_not_read_by_subcommand_exits_2(capsys, argv):
@@ -143,6 +144,23 @@ def test_twirl_workers_variant(capsys):
     assert first["result"]["frobenius_distance_to_uniform"] < 0.2
 
 
+def test_spawn_prefix_identity():
+    # _shards spawns only the streams of nonempty shares; that keeps the layout of all `workers` streams
+    prefix = sampling.seeded(3).spawn(2)
+    full = sampling.seeded(3).spawn(5)
+    for short, long in zip(prefix, full[:2]):
+        assert np.array_equal(short.random(8), long.random(8))
+    shards = cli._shards(2, 5, sampling.seeded(3))
+    assert [share for share, _ in shards] == [1, 1]
+    assert np.array_equal(shards[1][1].random(8), sampling.seeded(3).spawn(5)[1].random(8))
+
+
+def test_twirl_workers_at_cap(capsys):
+    code, payload, _ = _run_json(capsys, ["twirl", "--samples", "3", "--workers", str(cli._WORKERS_CAP)])
+    assert code == 0
+    assert payload["config"]["workers"] == cli._WORKERS_CAP == 64
+
+
 def test_superdense_command(capsys):
     _, payload, _ = _run_json(capsys, ["superdense", "--dim", "3", "--trials", "10"])
     result = payload["result"]
@@ -163,20 +181,15 @@ def test_lambda_command(capsys):
     assert abs(result["estimate"]["lambda_hat"] - 0.25) < 0.03
 
 
-def test_lambda_workers_reproducible(capsys):
-    argv = ["lambda", "--lambda", "0.1", "--shots", "900", "--workers", "3", "--seed", "7"]
-    _, first, _ = _run_json(capsys, argv)
-    _, second, _ = _run_json(capsys, argv)
-    assert first["result"] == second["result"]
-    assert first["result"]["estimate"]["shots"] == 900
-
-
-def test_lambda_skips_empty_shares_like_twirl(capsys):
-    # 2 shots over 5 workers: three sub-streams get no shots and are skipped, not rejected
-    code, payload, _ = _run_json(capsys, ["lambda", "--lambda", "0.1", "--shots", "2", "--workers", "5"])
-    assert code == 0
-    assert payload["result"]["estimate"]["shots"] == 2
-    assert payload["result"]["estimate"]["hits"] in (0, 1, 2)
+@pytest.mark.parametrize("n", ["4000", "20000"])
+def test_refframe_dense_cap_message_is_short(capsys, n):
+    code = cli.run(["refframe", "--n", n, "--dim", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    error = captured.err.splitlines()[-1]
+    assert error == f"meronome: error: n = {int(n) + 1} copies of dimension d = 2 exceed the dense cap 4096 on d^n"
+    assert len(error) < 200
 
 
 def test_refframe_command(capsys):
@@ -339,6 +352,7 @@ def test_negative_scientific_notation_is_a_value(capsys):
         (["ordering", "--out", "/nonexistent/dir/x.json"], "/nonexistent/dir/x.json: No such file or directory"),
         (["superdense", "--dim", "1025", "--trials", "1"], "argument --dim: must be at most 1024, got 1025"),
         (["refframe", "--n", "1", "--dim", "1025"], "argument --dim: must be at most 1024, got 1025"),
+        (["twirl", "--samples", "3", "--workers", "65"], "argument --workers: must be at most 64, got 65"),  # parse time
     ],
 )
 def test_bad_input_message_names_the_problem(capsys, argv, message):

@@ -18,6 +18,7 @@ from meronome.protocols import (
     OrderingVerdict,
     _hit_probabilities,
     _pair_projectors,
+    _sym_basis_cached,
     lambda_effect_probability,
     lambda_state,
     measure_sym_subspace,
@@ -30,7 +31,7 @@ from meronome.protocols import (
     sym_span_analysis,
     tau_states,
 )
-from meronome.sampling import random_m_element, random_state, sample_m_chunks, seeded
+from meronome.sampling import random_m_element, random_state, random_states, sample_m_chunks, seeded
 
 S22 = BipartiteSplit(2, 2)
 
@@ -272,6 +273,18 @@ def test_sym_projector_size_guard():
         sym_projector(2, 0)
 
 
+def test_dense_cap_is_decided_on_the_exponent():
+    assert _sym_basis_cached(2, 12).shape == (4096, 13)  # exactly at the cap
+    assert _sym_basis_cached(4, 6).shape[0] == 4096
+    assert sym_projector(1, 50).entries.tolist() == [[1.0]]  # d = 1 never grows
+    for d, n in [(2, 13), (4, 7), (4097, 1), (2, 10**9)]:
+        with pytest.raises(ValueError) as info:
+            _sym_basis_cached(d, n)
+        assert str(info.value) == f"n = {n} copies of dimension d = {d} exceed the dense cap 4096 on d^n"
+    with pytest.raises(ValueError, match=r"^n = 20001 copies of dimension d = 2 exceed the dense cap 4096 on d\^n$"):
+        measure_sym_subspace(StateVector.basis(2, 0), StateVector.basis(2, 0), 20000)
+
+
 def test_measure_sym_aligned_passes():
     phi = random_state(3, seeded(1))
     assert abs(measure_sym_subspace(phi, phi, 2) - 1.0) < 1e-12
@@ -326,6 +339,22 @@ def test_sym_span_analysis_geometry():
     assert report.max_lambda_overlap < 1e-10
     assert report.min_entangled_lambda_overlap > 1e-4
     assert report.samples == 50
+
+
+def test_sym_span_analysis_rank_across_seeds():
+    assert {sym_span_analysis(50, seeded(seed)).product_span_rank for seed in range(20)} == {9}
+
+
+def test_sym_span_analysis_draws_two_stacks():
+    # the products as one random_states((2, 2), n) stack, then the entangled states as one random_states((4,), n)
+    rng, reference = seeded(5), seeded(5)
+    report = sym_span_analysis(40, rng)
+    products = random_states((2, 2), 40, reference)
+    entangled = random_states((4,), 40, reference)
+    assert rng.random() == reference.random()
+    lam = lambda_state().amps.conj()
+    assert report.max_lambda_overlap == np.abs(np.array([np.kron(x, x) for x in products]) @ lam).max()
+    assert report.min_entangled_lambda_overlap == np.abs(np.array([np.kron(x, x) for x in entangled]) @ lam).min()
 
 
 def test_sym_span_analysis_needs_samples():
