@@ -29,12 +29,14 @@ _DIM_CAP = 4096  # dense operators and joint vectors stay cheap below this
 TOL_ORDERING = 1e-6  # ordering_discriminate: the signals weigh exactly 1 and 0; roundoff moves that by ~1e-15
 
 
+@lru_cache(maxsize=None)
 def shift_unitary(d: int) -> Operator:
-    """Cyclic shift |k> -> |k+1 mod d>; traceless for every d >= 2."""
+    """Cyclic shift |k> -> |k+1 mod d>; traceless for every d >= 2.  Built once per d; the entries are read-only."""
     if d < 2:
         raise ValueError(f"shift needs dimension >= 2, got {d}")
     mat = np.zeros((d, d), dtype=np.complex128)
     mat[(np.arange(d) + 1) % d, np.arange(d)] = 1.0
+    mat.setflags(write=False)
     return Operator(mat)
 
 
@@ -178,7 +180,7 @@ def _sym_basis_cached(d: int, n: int) -> np.ndarray:
     if d > 1 and (n >= _DIM_CAP.bit_length() or d**n > _DIM_CAP):  # 2^n alone tops the cap from there on
         raise ValueError(f"n = {n} copies of dimension d = {d} exceed the dense cap {_DIM_CAP} on d^n")
     total = d**n
-    digits = np.indices((d,) * n).reshape(n, total).T
+    digits = (np.arange(total)[:, None] // d ** np.arange(n - 1, -1, -1)) % d  # row k: the base-d digits of k
     groups: dict[tuple, list[int]] = {}
     for index, key in enumerate(map(tuple, np.sort(digits, axis=1))):
         groups.setdefault(key, []).append(index)

@@ -20,6 +20,7 @@ from .frames import MeronomicElement
 from .linalg import BipartiteSplit, DensityOperator, Operator, StateVector
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_SMALL_DIM = 3  # factors up to this size take the elementwise kernels of haar_unitary_batch and twirl_monte_carlo
 
 
 def seeded(seed: int) -> np.random.Generator:
@@ -37,23 +38,23 @@ def _check_stack(dim: int, count: int) -> None:
 def haar_unitary_batch(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of `count` Haar-distributed dim x dim unitaries, shape (count, dim, dim).
 
-    Ginibre matrix -> the Q of its QR with positive real diag(R), which is exactly
-    Haar: up to dim 3 by modified Gram-Schmidt on the columns (several times
-    faster), from dim 4 on by batched QR with columns rephased by diag(R).
+    Ginibre matrix -> the Q of its QR with positive real diag(R), which is exactly Haar.  Up to _SMALL_DIM by
+    modified Gram-Schmidt on planes laid out (column, row, sample), so each inner product and norm sums whole
+    sample vectors, returning a view of the planes; above it by batched QR with columns rephased by diag(R).
     """
     _check_stack(dim, count)
-    z = (rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))) * _INV_SQRT2
-    if dim <= 3:
-        for j in range(dim):
-            col = z[:, :, j]
-            for k in range(j):
-                q = z[:, :, k]
-                col -= q * (q.conj() * col).sum(axis=1, keepdims=True)
-            col /= np.linalg.norm(col, axis=1, keepdims=True)
-        return z
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[:, None, :]
+    real, imag = rng.standard_normal((2, count, dim, dim)) * _INV_SQRT2
+    if dim > _SMALL_DIM:
+        q, r = np.linalg.qr(real + 1j * imag)
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        return q * (diag / np.abs(diag))[:, None, :]
+    planes = np.empty((dim, dim, count), dtype=np.complex128)  # planes[j, i] = entry (i, j) of every sample
+    planes.real, planes.imag = real.T, imag.T
+    for j, col in enumerate(planes):
+        for q in planes[:j]:
+            col -= q * (q.conj() * col).sum(axis=0)
+        col /= np.linalg.norm(col, axis=0)
+    return planes.T
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> Operator:
@@ -133,6 +134,18 @@ def exact_twirl(split: BipartiteSplit) -> DensityOperator:
     return DensityOperator.maximally_mixed(split.dim)
 
 
+def _factor_products(v: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows vec(v c w^T), shape (count, d1*d2), for stacks v, w and a d1 x d2 c or a stack of them.  Up to
+    _SMALL_DIM a loop over the contracted index, each step a broadcast multiply-add over sample planes."""
+    count, d1, d2 = len(v), v.shape[1], w.shape[1]
+    if max(d1, d2) > _SMALL_DIM:
+        return (v @ c @ w.transpose(0, 2, 1)).reshape(count, d1 * d2)
+    x = np.zeros((d1, d2, count), dtype=np.complex128)
+    for j, w_col in enumerate(w.T):  # v.T[i, a] = v[:, a, i]: column i of v, one sample vector per row
+        x += sum(c[..., i, j] * v_col for i, v_col in enumerate(v.T))[:, None] * w_col
+    return x.reshape(d1 * d2, count).T
+
+
 def twirl_monte_carlo(
     rho: DensityOperator,
     split: BipartiteSplit,
@@ -159,7 +172,7 @@ def twirl_monte_carlo(
         for c in c_mats:
             if swaps.any():
                 c = np.where(swaps[:, None, None], c.T, c)
-            x = (v @ c @ w.transpose(0, 2, 1)).reshape(len(v), split.dim)
+            x = _factor_products(v, c, w)
             acc += x.T @ x.conj()
     avg = acc / n
     avg = (avg + avg.conj().T) / 2.0

@@ -87,6 +87,12 @@ def test_shift_unitary_rejects_dim1():
         shift_unitary(1)
 
 
+def test_shift_unitary_is_built_once_per_dim():
+    assert shift_unitary(5) is shift_unitary(5)
+    assert shift_unitary(5) is not shift_unitary(6)
+    assert not shift_unitary(5).entries.flags.writeable
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_superdense_round_both_bits(d):
     rng = seeded(31)
@@ -283,6 +289,13 @@ def test_dense_cap_is_decided_on_the_exponent():
         assert str(info.value) == f"n = {n} copies of dimension d = {d} exceed the dense cap 4096 on d^n"
     with pytest.raises(ValueError, match=r"^n = 20001 copies of dimension d = 2 exceed the dense cap 4096 on d\^n$"):
         measure_sym_subspace(StateVector.basis(2, 0), StateVector.basis(2, 0), 20000)
+
+
+def test_one_level_copies_beyond_numpy_max_ndim():
+    # numpy arrays have at most 64 axes; the digits of 1^n = 1 index must not need n of them
+    assert sym_projector(1, 100).entries.tolist() == [[1.0]]
+    one = StateVector.basis(1, 0)
+    assert measure_sym_subspace(one, one, 100) == 1.0
 
 
 def test_measure_sym_aligned_passes():

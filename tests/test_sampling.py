@@ -10,6 +10,8 @@ import meronome
 from meronome.frames import Entanglement, MeronomicElement, classify, schmidt_decompose
 from meronome.linalg import BipartiteSplit, DensityOperator, Operator, StateVector
 from meronome.sampling import (
+    _SMALL_DIM,
+    _factor_products,
     exact_twirl,
     haar_unitary,
     haar_unitary_batch,
@@ -116,6 +118,28 @@ def test_gram_schmidt_haar_is_qr_of_the_same_draws(dim):
         q, r = np.linalg.qr(z)
         diag = np.diagonal(r, axis1=1, axis2=2)
         assert np.abs(u - q * (diag / np.abs(diag))[:, None, :]).max() < 1e-11
+
+
+def _row_major_gram_schmidt(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The (count, dim, dim) form of the small-dimension Haar sampler: Gram-Schmidt on strided column views."""
+    z = (rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))) / np.sqrt(2.0)
+    for j in range(dim):
+        col = z[:, :, j]
+        for k in range(j):
+            q = z[:, :, k]
+            col -= q * (q.conj() * col).sum(axis=1, keepdims=True)
+        col /= np.linalg.norm(col, axis=1, keepdims=True)
+    return z
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("count", [0, 1, 5, 4096])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_plane_gram_schmidt_is_bit_identical_to_row_major(dim, count, seed):
+    # the plane layout reorders memory, not arithmetic: same draws, same sums, same stream position after
+    rng, oracle_rng = seeded(seed), seeded(seed)
+    assert np.array_equal(haar_unitary_batch(dim, count, rng), _row_major_gram_schmidt(dim, count, oracle_rng))
+    assert rng.random() == oracle_rng.random()
 
 
 def test_haar_batch_validation():
@@ -274,6 +298,28 @@ def test_factored_twirl_matches_dense_oracle(split, rank):
     rho = DensityOperator(a / a.trace().real)
     est = twirl_monte_carlo(rho, split, 300, seeded(14))
     assert np.abs(est.entries - _dense_twirl(rho, split, 300, seeded(14))).max() < 1e-13
+
+
+_CONTRACTION_SPLITS = {"2x2": S22, "2x3": S23, "3x3": BipartiteSplit(3, 3), "2x4": BipartiteSplit(2, 4), "4x4": BipartiteSplit(4, 4)}
+
+
+def test_contraction_splits_straddle_the_threshold():
+    assert {max(s.d1, s.d2) <= _SMALL_DIM for s in _CONTRACTION_SPLITS.values()} == {True, False}
+
+
+@pytest.mark.parametrize("split", _CONTRACTION_SPLITS.values(), ids=_CONTRACTION_SPLITS.keys())
+def test_factor_products_match_matmul(split):
+    # the factors of a rank-2 rho, with the transposed factors of swapped samples on square splits
+    g = seeded(23)
+    z = g.standard_normal((split.dim, 2)) + 1j * g.standard_normal((split.dim, 2))
+    c_mats = z.T.reshape(2, split.d1, split.d2)
+    v, w, swaps = next(sample_m_chunks(split, 500, seeded(24)))
+    assert swaps.any() == (split.d1 == split.d2)
+    for c in c_mats:
+        if swaps.any():
+            c = np.where(swaps[:, None, None], c.T, c)
+        expected = (v @ c @ w.transpose(0, 2, 1)).reshape(len(v), split.dim)
+        assert np.abs(_factor_products(v, c, w) - expected).max() < 1e-13
 
 
 def test_twirl_reproducible():
