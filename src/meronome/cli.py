@@ -150,22 +150,13 @@ def _partial_maxent(split: linalg.BipartiteSplit) -> linalg.DensityOperator:
     return linalg.DensityOperator.from_state(linalg.StateVector(amps))
 
 
-def _shards(total: int, workers: int, rng: np.random.Generator) -> list[tuple[int, np.random.Generator]]:
-    """Nonempty (share, stream) pairs: all on `rng` for one worker, else near-equal shares on spawned sub-streams."""
-    if workers == 1:
-        return [(total, rng)]
-    base, extra = divmod(total, workers)
-    # spawn(k) gives the first k children of spawn(workers): the empty shares past `total` need no stream
-    return [(base + (i < extra), child) for i, child in enumerate(rng.spawn(min(workers, total)))]
-
-
 def _cmd_twirl(args):
     split = _parse_split(args.split)
     rho = _partial_maxent(split)
-    acc = np.zeros((split.dim, split.dim), dtype=np.complex128)
-    for share, stream in _shards(args.samples, args.workers, sampling.seeded(args.seed)):
-        acc += share * sampling.twirl_monte_carlo(rho, split, share, stream).entries
-    est = linalg.DensityOperator(acc / args.samples)
+    rng = sampling.seeded(args.seed)
+    # spawn(k) gives the first k children of spawn(workers): streams past the sample count would draw nothing
+    streams = rng if args.workers == 1 else rng.spawn(min(args.workers, args.samples))
+    est = sampling.twirl_monte_carlo(rho, split, args.samples, streams)
     dist = float(np.linalg.norm(est.entries - sampling.exact_twirl(split).entries))
     return {
         "samples": args.samples,
@@ -301,7 +292,7 @@ def _count(text: str) -> int:
 
 
 _DENSE_DIM_CAP = 1024  # rows of the largest dense matrix a command builds: twirl's D x D, superdense's d x d
-_WORKERS_CAP = 64  # twirl sub-streams; each spawned stream costs memory and time whatever the sample count
+_WORKERS_CAP = 64  # twirl sub-streams: it bounds the spawned Philox states, one per stream; rho is factored once per run
 
 
 def _dimension(text: str) -> int:

@@ -140,6 +140,8 @@ class LambdaEstimate:
     @classmethod
     def from_hits(cls, shots: int, hits: int) -> "LambdaEstimate":
         """Estimate from `hits` effect outcomes in `shots`, inverting p = lam * (1 - lam) on [0, 1/2]."""
+        if shots < 1 or not 0 <= hits <= shots:
+            raise ValueError(f"need shots >= 1 and 0 <= hits <= shots, got shots={shots}, hits={hits}")
         p_hat = hits / shots
         lambda_hat = (1.0 - math.sqrt(1.0 - 4.0 * min(p_hat, 0.25))) / 2.0
         return cls(shots=shots, hits=hits, p_hat=p_hat, lambda_hat=lambda_hat)

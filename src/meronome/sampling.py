@@ -2,17 +2,18 @@
 
 Every sampler draws from a numpy Generator made by seeded(), which fixes the
 counter-based Philox bit generator.  A given seed fixes every draw bit for
-bit.  Only the CLI's `twirl --workers` splits a run over several streams,
-spawned by Generator.spawn: its output is fixed by (seed, workers), and
-every other experiment's by the seed alone.  Each distribution has
-one stacked sampler here; the per-object samplers are its count-1 views, and
-no other module draws Gaussians or swap bits.  A maximally entangled state
-costs one Haar draw.
+bit.  Only `twirl --workers` runs over several streams: the CLI spawns them
+with Generator.spawn, and twirl_monte_carlo splits the samples over them, so
+its output is fixed by (seed, workers), and every other experiment's by the
+seed alone.  Each distribution has one stacked sampler here; the per-object
+samplers are its count-1 views, and no other module draws Gaussians or swap
+bits.  A maximally entangled state costs one Haar draw.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -68,7 +69,7 @@ def random_states(dims: tuple, count: int, rng: np.random.Generator) -> np.ndarr
     _check_stack(min(dims), count)
     z = rng.standard_normal((count, sum(dims))) + 1j * rng.standard_normal((count, sum(dims)))
     if len(dims) == 2:
-        z = (z[:, : dims[0], None] * z[:, None, dims[0] :]).reshape(count, -1)
+        z = (z[:, : dims[0], None] * z[:, None, dims[0] :]).reshape(count, dims[0] * dims[1])
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
@@ -147,33 +148,36 @@ def _factor_products(v: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def twirl_monte_carlo(
-    rho: DensityOperator,
-    split: BipartiteSplit,
-    n: int,
-    rng: np.random.Generator,
+    rho: DensityOperator, split: BipartiteSplit, n: int, rng: np.random.Generator | Sequence[np.random.Generator]
 ) -> DensityOperator:
     """Monte Carlo estimate of the group twirl of rho from n random elements.
 
     Each element maps the factors c_k of rho = sum_k c_k c_k^dag (eigenvalues
-    above roundoff) to v C_k w^T, or v C_k^T w^T when swapped.  Samples are
-    drawn and accumulated in a fixed chunked order, so the result is a
-    bit-reproducible function of the seed alone.  The average is renormalized
-    to unit trace and symmetrized before wrapping.
+    above roundoff) to v C_k w^T, or v C_k^T w^T when swapped.  `rng` is one stream or a non-empty sequence of
+    them (the CLI spawns those of `twirl --workers`); here the samples are split over them in order, stream i
+    drawing base + (i < extra) with base, extra = divmod(n, len(rng)), and all feed one accumulator.  Samples
+    are drawn and accumulated in a fixed chunked order, so the result is a bit-reproducible function of the
+    streams.  The average is renormalized to unit trace and symmetrized before wrapping.
     """
     if rho.dim != split.dim:
         raise ValueError(f"operator dim {rho.dim} does not match split {split.d1}x{split.d2}")
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
+    streams = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    if not streams:
+        raise ValueError("need at least one random stream, got an empty sequence")
+    base, extra = divmod(n, len(streams))
     values, vectors = np.linalg.eigh(rho.entries)
     keep = values > 1e-14 * values[-1]
     c_mats = (vectors[:, keep] * np.sqrt(values[keep])).T.reshape(-1, split.d1, split.d2)
     acc = np.zeros((split.dim, split.dim), dtype=np.complex128)
-    for v, w, swaps in sample_m_chunks(split, n, rng):
-        for c in c_mats:
-            if swaps.any():
-                c = np.where(swaps[:, None, None], c.T, c)
-            x = _factor_products(v, c, w)
-            acc += x.T @ x.conj()
+    for i, stream in enumerate(streams):
+        for v, w, swaps in sample_m_chunks(split, base + (i < extra), stream):
+            for c in c_mats:
+                if swaps.any():
+                    c = np.where(swaps[:, None, None], c.T, c)
+                x = _factor_products(v, c, w)
+                acc += x.T @ x.conj()
     avg = acc / n
     avg = (avg + avg.conj().T) / 2.0
     avg = avg / avg.trace().real

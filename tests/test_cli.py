@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from meronome import cli, sampling, theorems
+from meronome import cli, theorems
 
 ISQ2 = 1.0 / math.sqrt(2.0)
 PHI_PLUS_TEXT = f"{ISQ2},0 0,0 0,0 {ISQ2},0"
@@ -142,17 +142,6 @@ def test_twirl_workers_variant(capsys):
     _, second, _ = _run_json(capsys, argv)
     assert first["result"] == second["result"]
     assert first["result"]["frobenius_distance_to_uniform"] < 0.2
-
-
-def test_spawn_prefix_identity():
-    # _shards spawns only the streams of nonempty shares; that keeps the layout of all `workers` streams
-    prefix = sampling.seeded(3).spawn(2)
-    full = sampling.seeded(3).spawn(5)
-    for short, long in zip(prefix, full[:2]):
-        assert np.array_equal(short.random(8), long.random(8))
-    shards = cli._shards(2, 5, sampling.seeded(3))
-    assert [share for share, _ in shards] == [1, 1]
-    assert np.array_equal(shards[1][1].random(8), sampling.seeded(3).spawn(5)[1].random(8))
 
 
 def test_twirl_workers_at_cap(capsys):

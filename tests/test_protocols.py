@@ -15,6 +15,7 @@ from meronome.linalg import (
     tensor_state,
 )
 from meronome.protocols import (
+    LambdaEstimate,
     OrderingVerdict,
     _hit_probabilities,
     _pair_projectors,
@@ -168,6 +169,17 @@ def test_sample_lambda_zero_never_hits():
     assert est.hits == 0
     assert est.p_hat == 0.0
     assert est.lambda_hat == 0.0
+
+
+@pytest.mark.parametrize("shots, hits", [(0, 0), (-3, 0), (10, 11), (10, -1)])
+def test_lambda_from_hits_rejects_impossible_counts(shots, hits):
+    with pytest.raises(ValueError, match=f"shots={shots}, hits={hits}"):
+        LambdaEstimate.from_hits(shots, hits)
+
+
+def test_lambda_from_hits_accepts_the_ends():
+    assert LambdaEstimate.from_hits(1, 0).lambda_hat == 0.0
+    assert LambdaEstimate.from_hits(4, 4).lambda_hat == 0.5
 
 
 @pytest.mark.parametrize("lam", [0.25, 0.5])

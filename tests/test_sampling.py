@@ -62,6 +62,20 @@ def test_split_children_reproducible_and_independent():
     assert [k.random() for k in seeded(5).spawn(3)] == [0.7435838372455151, 0.7124746220128604, 0.7310569013624492]
 
 
+def test_spawn_prefix_identity():
+    # `twirl --workers` spawns only the streams of nonempty shares; that keeps the layout of all `workers` streams
+    prefix = seeded(3).spawn(2)
+    full = seeded(3).spawn(5)
+    for short, long in zip(prefix, full[:2]):
+        assert np.array_equal(short.random(8), long.random(8))
+    # samples 2 over workers 5: shares [1, 1] on the first two children, and nothing drawn from the rest
+    streams, oracles = seeded(3).spawn(5), seeded(3).spawn(5)
+    twirl_monte_carlo(DensityOperator.from_state(StateVector.basis(4, 0)), S22, 2, streams)
+    for share, stream, oracle in zip([1, 1, 0, 0, 0], streams, oracles, strict=True):
+        list(sample_m_chunks(S22, share, oracle))
+        assert stream.random() == oracle.random()
+
+
 # ---------------------------------------------------------------- Haar sampling
 
 def test_haar_dim1_is_phase():
@@ -190,6 +204,23 @@ def test_random_states_validation_matches_haar(dims, dim, count):
         haar_unitary_batch(dim, count, seeded(0))
     with pytest.raises(ValueError, match=re.escape(str(haar.value))):
         random_states(dims, count, seeded(0))
+
+
+_AT_COUNT_ZERO = {
+    "haar_qr": (lambda rng: haar_unitary_batch(5, 0, rng), (0, 5, 5)),
+    "states": (lambda rng: random_states((3,), 0, rng), (0, 3)),
+    "product_states": (lambda rng: random_states((2, 3), 0, rng), (0, 6)),
+    "maxent_states": (lambda rng: random_maxent_states(3, 0, rng), (0, 9)),
+    "m_elements": (lambda rng: np.array(random_m_elements(S22, 0, rng)), (0,)),
+    "m_chunks": (lambda rng: np.array(list(sample_m_chunks(S23, 0, rng))), (0,)),
+}
+
+
+@pytest.mark.parametrize("draw, shape", _AT_COUNT_ZERO.values(), ids=_AT_COUNT_ZERO.keys())
+def test_stacked_samplers_at_count_zero(draw, shape):
+    rng, untouched = seeded(0), seeded(0)
+    assert draw(rng).shape == shape
+    assert rng.random() == untouched.random()
 
 
 def _parts(elem: MeronomicElement):
@@ -350,9 +381,44 @@ def test_twirl_converges_to_maximally_mixed():
     assert fine < 0.05
 
 
+def _per_shard_merge(rho: DensityOperator, split: BipartiteSplit, samples: int, workers: int, seed: int) -> np.ndarray:
+    """Oracle: one estimate per nonempty share on its spawned stream, merged weighted by share."""
+    base, extra = divmod(samples, workers)
+    acc = np.zeros((split.dim, split.dim), dtype=complex)
+    for i, stream in enumerate(seeded(seed).spawn(min(workers, samples))):
+        share = base + (i < extra)
+        acc += share * twirl_monte_carlo(rho, split, share, stream).entries
+    return acc / samples
+
+
+@pytest.mark.parametrize("split", [S22, BipartiteSplit(3, 3)], ids=["2x2", "3x3"])
+@pytest.mark.parametrize("samples, workers", [(3, 5), (7, 3), (1000, 4), (2000, 2)])
+def test_twirl_over_streams_matches_per_shard_merge(split, samples, workers):
+    rho = DensityOperator.from_state(random_state(split.dim, seeded(samples)))
+    est = twirl_monte_carlo(rho, split, samples, seeded(6).spawn(min(workers, samples)))
+    assert np.abs(est.entries - _per_shard_merge(rho, split, samples, workers, 6)).max() <= 1e-15
+
+
+def test_twirl_one_stream_in_a_sequence_is_the_bare_stream():
+    rho = DensityOperator.from_state(random_state(6, seeded(4)))
+    bare = twirl_monte_carlo(rho, S23, 5000, seeded(8))
+    assert np.array_equal(twirl_monte_carlo(rho, S23, 5000, [seeded(8)]).entries, bare.entries)
+
+
+def test_twirl_factors_rho_once_over_streams(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    rho = DensityOperator.from_state(random_state(9, seeded(4)))
+    twirl_monte_carlo(rho, BipartiteSplit(3, 3), 1000, seeded(0).spawn(4))
+    assert calls == [(9, 9)]
+
+
 def test_twirl_validation():
     rho = DensityOperator.maximally_mixed(4)
     with pytest.raises(ValueError):
         twirl_monte_carlo(rho, S23, 10, seeded(0))
     with pytest.raises(ValueError):
         twirl_monte_carlo(rho, S22, 0, seeded(0))
+    with pytest.raises(ValueError, match="empty sequence"):
+        twirl_monte_carlo(rho, S22, 10, [])
