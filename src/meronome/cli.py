@@ -293,6 +293,7 @@ def _count(text: str) -> int:
 
 _DENSE_DIM_CAP = 1024  # rows of the largest dense matrix a command builds: twirl's D x D, superdense's d x d
 _WORKERS_CAP = 64  # twirl sub-streams: it bounds the spawned Philox states, one per stream; rho is factored once per run
+_SYMSPAN_CAP = 50_000  # symspan samples: sym_span_analysis holds about 0.9 KB per sample, 83 MB at the cap
 
 
 def _dimension(text: str) -> int:
@@ -301,6 +302,10 @@ def _dimension(text: str) -> int:
 
 def _workers(text: str) -> int:
     return _bounded_integer(1, _WORKERS_CAP, text)
+
+
+def _symspan_samples(text: str) -> int:
+    return _bounded_integer(1, _SYMSPAN_CAP, text)
 
 
 def _twirl_split(text: str) -> str:
@@ -368,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_ordering)
 
     p = sub.add_parser("symspan", parents=[seeded], help="span of duplicated states in the symmetric subspace")
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_symspan_samples, required=True, help=f"at least 20, at most {_SYMSPAN_CAP}")
     p.set_defaults(handler=_cmd_symspan)
 
     p = sub.add_parser("verify", parents=[seeded], help="run a verification suite")

@@ -293,6 +293,7 @@ def test_csv_format(capsys):
         ["ordering", "--out", "/nonexistent/dir/x.json"],                 # unwritable --out
         ["superdense", "--dim", "1025", "--trials", "1"],                 # --dim above the dense cap
         ["refframe", "--n", "1", "--dim", "1025"],
+        ["symspan", "--samples", "50001"],                                # --samples above the symspan cap
     ],
 )
 def test_bad_inputs_exit_2(capsys, argv):
@@ -342,6 +343,7 @@ def test_negative_scientific_notation_is_a_value(capsys):
         (["superdense", "--dim", "1025", "--trials", "1"], "argument --dim: must be at most 1024, got 1025"),
         (["refframe", "--n", "1", "--dim", "1025"], "argument --dim: must be at most 1024, got 1025"),
         (["twirl", "--samples", "3", "--workers", "65"], "argument --workers: must be at most 64, got 65"),  # parse time
+        (["symspan", "--samples", "50001"], "argument --samples: must be at most 50000, got 50001"),
     ],
 )
 def test_bad_input_message_names_the_problem(capsys, argv, message):

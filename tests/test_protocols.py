@@ -193,6 +193,13 @@ def test_sample_lambda_estimates(lam):
     assert est.shots == shots and est.hits == round(est.p_hat * shots)
 
 
+@pytest.mark.parametrize("seed, hits", [(0, 37733), (1, 37438), (2, 37237)])
+def test_sample_lambda_hits_are_pinned(seed, hits):
+    # the hit counts since the stream layout was fixed; a change of the Haar kernel moves the unitaries by roundoff
+    # only, and a hit flips only if its uniform lands within about 1e-16 of the hit probability
+    assert sample_lambda_measurement(0.25, 200_000, seeded(seed)).hits == hits
+
+
 def test_hit_probabilities_match_lambda_overlap():
     # Oracle: the explicit <Lambda| phi' (x) phi'> contraction per shot, with
     # a non-symmetric Phi so that the swap bit changes the disguised state.
