@@ -55,7 +55,6 @@ from .protocols import (
     tau_states,
 )
 from .sampling import (
-    exact_twirl,
     haar_unitary,
     random_m_element,
     random_maxent_state,

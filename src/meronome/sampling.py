@@ -7,7 +7,8 @@ with Generator.spawn, and twirl_monte_carlo splits the samples over them, so
 its output is fixed by (seed, workers), and every other experiment's by the
 seed alone.  Each distribution has one stacked sampler here; the per-object
 samplers are its count-1 views, and no other module draws Gaussians or swap
-bits.  A maximally entangled state costs one Haar draw.
+bits.  A maximally entangled state costs one Haar draw.  The twirl moves
+rho's d1 x d2 factors and returns a plain array; its exact value is 1/D.
 """
 
 from __future__ import annotations
@@ -136,15 +137,6 @@ def random_m_element(split: BipartiteSplit, rng: np.random.Generator) -> Meronom
     return random_m_elements(split, 1, rng)[0]
 
 
-def exact_twirl(split: BipartiteSplit) -> DensityOperator:
-    """Average of u rho u^dag over the whole decomposition-preserving group.
-
-    Independent Haar averages over the two factors already wash out every
-    input, so the result is the maximally mixed state regardless of rho.
-    """
-    return DensityOperator.maximally_mixed(split.dim)
-
-
 def _factor_products(v: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Rows vec(v c w^T), shape (count, d1*d2), for stacks v, w and a d1 x d2 c or a stack of them.  Up to
     _SMALL_DIM a loop over the contracted index, each step a broadcast multiply-add over sample planes."""
@@ -158,28 +150,32 @@ def _factor_products(v: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def twirl_monte_carlo(
-    rho: DensityOperator, split: BipartiteSplit, n: int, rng: np.random.Generator | Sequence[np.random.Generator]
-) -> DensityOperator:
-    """Monte Carlo estimate of the group twirl of rho from n random elements.
+    rho: StateVector | DensityOperator, split: BipartiteSplit, n: int,
+    rng: np.random.Generator | Sequence[np.random.Generator],
+) -> np.ndarray:
+    """Monte Carlo estimate of the group twirl of rho from n random elements, as a unit-trace D x D array.
 
-    Each element maps the factors c_k of rho = sum_k c_k c_k^dag (eigenvalues
-    above roundoff) to v C_k w^T, or v C_k^T w^T when swapped.  `rng` is one stream or a non-empty sequence of
-    them (the CLI spawns those of `twirl --workers`); here the samples are split over them in order, stream i
-    drawing base + (i < extra) with base, extra = divmod(n, len(rng)), and all feed one accumulator.  Samples
-    are drawn and accumulated in a fixed chunked order, so the result is a bit-reproducible function of the
-    streams.  The average is renormalized to unit trace and symmetrized before wrapping.
+    Each element maps the factors c_k of rho = sum_k c_k c_k^dag to v c_k w^T, or v c_k^T w^T when swapped: a
+    pure state's amplitude matrix is its one factor, and a DensityOperator, the only mixed input, is factored by
+    eigh (eigenvalues above roundoff).  `rng` is one stream or a non-empty sequence of them (the CLI spawns those
+    of `twirl --workers`); stream i draws base + (i < extra) samples, base, extra = divmod(n, len(rng)), in order
+    and in fixed chunks, all into one accumulator, so the result is a reproducible function of the streams.  The
+    sum is symmetrized and scaled in place; positive semidefinite by construction, it is returned unvalidated.
     """
     if rho.dim != split.dim:
-        raise ValueError(f"operator dim {rho.dim} does not match split {split.d1}x{split.d2}")
+        raise ValueError(f"rho dim {rho.dim} does not match split {split.d1}x{split.d2}")
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
     streams = [rng] if isinstance(rng, np.random.Generator) else list(rng)
     if not streams:
         raise ValueError("need at least one random stream, got an empty sequence")
     base, extra = divmod(n, len(streams))
-    values, vectors = np.linalg.eigh(rho.entries)
-    keep = values > 1e-14 * values[-1]
-    c_mats = (vectors[:, keep] * np.sqrt(values[keep])).T.reshape(-1, split.d1, split.d2)
+    if isinstance(rho, StateVector):
+        c_mats = rho.amps.reshape(1, split.d1, split.d2)
+    else:
+        values, vectors = np.linalg.eigh(rho.entries)
+        keep = values > 1e-14 * values[-1]
+        c_mats = (vectors[:, keep] * np.sqrt(values[keep])).T.reshape(-1, split.d1, split.d2)
     acc = np.zeros((split.dim, split.dim), dtype=np.complex128)
     for i, stream in enumerate(streams):
         for v, w, swaps in sample_m_chunks(split, base + (i < extra), stream):
@@ -188,7 +184,6 @@ def twirl_monte_carlo(
                     c = np.where(swaps[:, None, None], c.T, c)
                 x = _factor_products(v, c, w)
                 acc += x.T @ x.conj()
-    avg = acc / n
-    avg = (avg + avg.conj().T) / 2.0
-    avg = avg / avg.trace().real
-    return DensityOperator(avg)
+    acc += acc.conj().T  # the trace scaling below also cancels the 1/n and the 1/2 of the mean's symmetrization
+    acc /= acc.trace().real
+    return acc

@@ -34,6 +34,8 @@ CASES = {
     "twirl_2x2": ["twirl", "--samples", "2000", "--seed", "3"],
     "twirl_3x3_workers2": ["twirl", "--samples", "2000", "--split", "3x3", "--workers", "2", "--seed", "5"],
     "twirl_zero_shares": ["twirl", "--samples", "3", "--workers", "5", "--seed", "1"],
+    "twirl_32x32": ["twirl", "--samples", "64", "--split", "32x32"],
+    "twirl_2x5": ["twirl", "--samples", "2000", "--split", "2x5", "--seed", "2"],
     "superdense_dim16": ["superdense", "--dim", "16", "--trials", "5", "--seed", "2"],
     "lambda": ["lambda", "--lambda", "0.2", "--shots", "20000", "--seed", "4"],
     "refframe": ["refframe", "--n", "3", "--dim", "2", "--seed", "1"],

@@ -12,7 +12,6 @@ from meronome.linalg import BipartiteSplit, DensityOperator, Operator, StateVect
 from meronome.sampling import (
     _SMALL_DIM,
     _factor_products,
-    exact_twirl,
     haar_unitary,
     haar_unitary_batch,
     random_m_element,
@@ -317,13 +316,6 @@ def test_m_element_preserves_schmidt():
 
 # ---------------------------------------------------------------- twirling
 
-def test_exact_twirl_is_maximally_mixed():
-    for split in (S22, S23):
-        out = exact_twirl(split)
-        assert_allclose(out.entries, np.eye(split.dim) / split.dim)
-        assert abs(out.entries.trace() - 1.0) < 1e-14
-
-
 def test_twirl_single_sample_matches_manual():
     rho = DensityOperator.from_state(StateVector.basis(4, 0))
     seed = 77
@@ -331,7 +323,7 @@ def test_twirl_single_sample_matches_manual():
     elem = random_m_element(S22, seeded(seed))
     u = elem.to_operator().entries
     manual = u @ rho.entries @ u.conj().T
-    assert np.abs(est.entries - manual).max() < 1e-13
+    assert np.abs(est - manual).max() < 1e-13
 
 
 def _dense_twirl(rho: DensityOperator, split: BipartiteSplit, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -347,14 +339,29 @@ def _dense_twirl(rho: DensityOperator, split: BipartiteSplit, n: int, rng: np.ra
 
 
 @pytest.mark.parametrize("split", [S23, BipartiteSplit(3, 3)], ids=["2x3", "3x3"])
-@pytest.mark.parametrize("rank", [1, 2, None], ids=["pure", "rank2", "full"])
+@pytest.mark.parametrize("rank", [1, 2, None, "state"], ids=["pure", "rank2", "full", "state"])
 def test_factored_twirl_matches_dense_oracle(split, rank):
+    # "state" passes the rank-1 rho as its StateVector, whose amplitude matrix is the factor without an eigh
+    k = {None: split.dim, "state": 1}.get(rank, rank)
     g = seeded(13)
-    z = g.standard_normal((split.dim, rank or split.dim)) + 1j * g.standard_normal((split.dim, rank or split.dim))
+    z = g.standard_normal((split.dim, k)) + 1j * g.standard_normal((split.dim, k))
     a = z @ z.conj().T
     rho = DensityOperator(a / a.trace().real)
-    est = twirl_monte_carlo(rho, split, 300, seeded(14))
-    assert np.abs(est.entries - _dense_twirl(rho, split, 300, seeded(14))).max() < 1e-13
+    given = StateVector(z[:, 0] / np.linalg.norm(z)) if rank == "state" else rho
+    est = twirl_monte_carlo(given, split, 300, seeded(14))
+    assert np.abs(est - _dense_twirl(rho, split, 300, seeded(14))).max() < 1e-13
+
+
+@pytest.mark.parametrize("split", [S23, BipartiteSplit(3, 3), BipartiteSplit(2, 4)], ids=["2x3", "3x3", "2x4"])
+@pytest.mark.parametrize("workers", [1, 3], ids=["one-stream", "spawned"])
+def test_twirl_pure_state_matches_its_density_operator(split, workers):
+    # 2x4 takes the matmul contraction, the others the elementwise kernel: both sides of _SMALL_DIM
+    psi = random_state(split.dim, seeded(split.dim))
+
+    def estimate(rho):
+        return twirl_monte_carlo(rho, split, 500, seeded(11) if workers == 1 else seeded(11).spawn(workers))
+
+    assert np.abs(estimate(psi) - estimate(DensityOperator.from_state(psi))).max() <= 1e-15
 
 
 _CONTRACTION_SPLITS = {"2x2": S22, "2x3": S23, "3x3": BipartiteSplit(3, 3), "2x4": BipartiteSplit(2, 4), "4x4": BipartiteSplit(4, 4)}
@@ -383,13 +390,13 @@ def test_twirl_reproducible():
     rho = DensityOperator.from_state(random_state(4, seeded(1)))
     a = twirl_monte_carlo(rho, S22, 500, seeded(9))
     b = twirl_monte_carlo(rho, S22, 500, seeded(9))
-    assert np.array_equal(a.entries, b.entries)
+    assert np.array_equal(a, b)
 
 
 def test_twirl_fixes_maximally_mixed():
     rho = DensityOperator.maximally_mixed(4)
     est = twirl_monte_carlo(rho, S22, 64, seeded(2))
-    assert np.abs(est.entries - rho.entries).max() < 1e-10
+    assert np.abs(est - rho.entries).max() < 1e-10
 
 
 def test_twirl_converges_to_maximally_mixed():
@@ -399,7 +406,7 @@ def test_twirl_converges_to_maximally_mixed():
 
     def dist(n, seed):
         est = twirl_monte_carlo(rho, S22, n, seeded(seed))
-        return np.linalg.norm(est.entries - target)
+        return np.linalg.norm(est - target)
 
     coarse = np.median([dist(100, s) for s in range(10)])
     fine = np.median([dist(10_000, s) for s in range(10)])
@@ -413,7 +420,7 @@ def _per_shard_merge(rho: DensityOperator, split: BipartiteSplit, samples: int, 
     acc = np.zeros((split.dim, split.dim), dtype=complex)
     for i, stream in enumerate(seeded(seed).spawn(min(workers, samples))):
         share = base + (i < extra)
-        acc += share * twirl_monte_carlo(rho, split, share, stream).entries
+        acc += share * twirl_monte_carlo(rho, split, share, stream)
     return acc / samples
 
 
@@ -422,28 +429,35 @@ def _per_shard_merge(rho: DensityOperator, split: BipartiteSplit, samples: int, 
 def test_twirl_over_streams_matches_per_shard_merge(split, samples, workers):
     rho = DensityOperator.from_state(random_state(split.dim, seeded(samples)))
     est = twirl_monte_carlo(rho, split, samples, seeded(6).spawn(min(workers, samples)))
-    assert np.abs(est.entries - _per_shard_merge(rho, split, samples, workers, 6)).max() <= 1e-15
+    assert np.abs(est - _per_shard_merge(rho, split, samples, workers, 6)).max() <= 1e-15
 
 
 def test_twirl_one_stream_in_a_sequence_is_the_bare_stream():
     rho = DensityOperator.from_state(random_state(6, seeded(4)))
     bare = twirl_monte_carlo(rho, S23, 5000, seeded(8))
-    assert np.array_equal(twirl_monte_carlo(rho, S23, 5000, [seeded(8)]).entries, bare.entries)
+    assert np.array_equal(twirl_monte_carlo(rho, S23, 5000, [seeded(8)]), bare)
 
 
 def test_twirl_factors_rho_once_over_streams(monkeypatch):
+    psi = random_state(9, seeded(4))
+    rho = DensityOperator.from_state(psi)
     calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-    rho = DensityOperator.from_state(random_state(9, seeded(4)))
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, name=name, solve=solve: calls.append((name, a.shape)) or solve(a))
     twirl_monte_carlo(rho, BipartiteSplit(3, 3), 1000, seeded(0).spawn(4))
-    assert calls == [(9, 9)]
+    assert calls == [("eigh", (9, 9))]
+    calls.clear()  # a pure state's amplitude matrix is already its one factor
+    twirl_monte_carlo(psi, BipartiteSplit(3, 3), 1000, seeded(0).spawn(4))
+    assert calls == []
 
 
 def test_twirl_validation():
     rho = DensityOperator.maximally_mixed(4)
     with pytest.raises(ValueError):
         twirl_monte_carlo(rho, S23, 10, seeded(0))
+    with pytest.raises(ValueError, match="does not match split 2x3"):
+        twirl_monte_carlo(StateVector.basis(4, 0), S23, 10, seeded(0))
     with pytest.raises(ValueError):
         twirl_monte_carlo(rho, S22, 0, seeded(0))
     with pytest.raises(ValueError, match="empty sequence"):
