@@ -8,6 +8,10 @@ decomposition-independent tasks, theorems the batch verification suites, and
 cli a seeded command-line driver for all of it.
 """
 
+import os as _os
+
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads: BLAS sees only small factors here
+
 from .frames import (
     BipartiteSplit,
     Entanglement,

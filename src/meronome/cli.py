@@ -300,7 +300,7 @@ def _workers(text: str) -> int:
 
 
 def _symspan_samples(text: str) -> int:
-    return _bounded_integer(1, _SYMSPAN_CAP, text)
+    return _bounded_integer(20, _SYMSPAN_CAP, text)
 
 
 def _twirl_split(text: str) -> str:

@@ -159,8 +159,10 @@ def twirl_monte_carlo(
     pure state's amplitude matrix is its one factor, and a DensityOperator, the only mixed input, is factored by
     eigh (eigenvalues above roundoff).  `rng` is one stream or a non-empty sequence of them (the CLI spawns those
     of `twirl --workers`); stream i draws base + (i < extra) samples, base, extra = divmod(n, len(rng)), in order
-    and in fixed chunks, all into one accumulator, so the result is a reproducible function of the streams.  The
-    sum is symmetrized and scaled in place; positive semidefinite by construction, it is returned unvalidated.
+    and in fixed chunks, all into one accumulator, so the result is a reproducible function of the streams.  A
+    chunk's rows vec(v c w^T) of D or more go in as one product; shorter ones (small shares, the last chunk) are
+    gathered until they total D rows, so many tiny shares cost about one D x D product, not one each.  The sum
+    is symmetrized and scaled in place; positive semidefinite by construction, it is returned unvalidated.
     """
     if rho.dim != split.dim:
         raise ValueError(f"rho dim {rho.dim} does not match split {split.d1}x{split.d2}")
@@ -177,13 +179,22 @@ def twirl_monte_carlo(
         keep = values > 1e-14 * values[-1]
         c_mats = (vectors[:, keep] * np.sqrt(values[keep])).T.reshape(-1, split.d1, split.d2)
     acc = np.zeros((split.dim, split.dim), dtype=np.complex128)
+    held = []  # consecutive row blocks shorter than D, taken as one product once they total D rows
     for i, stream in enumerate(streams):
         for v, w, swaps in sample_m_chunks(split, base + (i < extra), stream):
             for c in c_mats:
                 if swaps.any():
                     c = np.where(swaps[:, None, None], c.T, c)
                 x = _factor_products(v, c, w)
+                if len(x) < split.dim:
+                    held.append(x)
+                    if sum(map(len, held)) < split.dim:
+                        continue
+                    x, held = np.concatenate(held), []
                 acc += x.T @ x.conj()
+    if held:
+        x = np.concatenate(held)
+        acc += x.T @ x.conj()
     acc += acc.conj().T  # the trace scaling below also cancels the 1/n and the 1/2 of the mean's symmetrization
     acc /= acc.trace().real
     return acc

@@ -1,10 +1,15 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import meronome
 from meronome import cli, theorems
 
 ISQ2 = 1.0 / math.sqrt(2.0)
@@ -149,6 +154,30 @@ def test_twirl_workers_at_cap(capsys):
     assert code == 0
     assert payload["config"]["workers"] == cli._WORKERS_CAP == 64
 
+
+
+# ---------------------------------------------------------------- process setup
+
+def _child(args: list[str], blas_threads: str | None) -> str:
+    """stdout of a fresh interpreter run with OPENBLAS_NUM_THREADS unset or set, with this meronome on its path."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(meronome.__file__).parents[1]), env.get("PYTHONPATH")]))
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=True).stdout
+
+
+@pytest.mark.parametrize("given, seen", [(None, "1"), ("2", "2")], ids=["unset-pins-one", "user-value-wins"])
+def test_import_pins_one_blas_thread_unless_set(given, seen):
+    probe = "import os, meronome; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _child(["-c", probe], given).strip() == seen
+
+
+def test_large_split_twirl_does_not_depend_on_the_blas_thread_default():
+    # the 1024 x 1024 accumulator product sums in a thread-count-dependent order; with 2+ cores the default pool differs
+    argv = ["-m", "meronome.cli", "twirl", "--samples", "64", "--split", "32x32"]
+    results = [json.loads(_child(argv, threads))["result"] for threads in (None, "1")]
+    assert results[0] == results[1]
 
 def test_superdense_command(capsys):
     _, payload, _ = _run_json(capsys, ["superdense", "--dim", "3", "--trials", "10"])
@@ -344,6 +373,7 @@ def test_negative_scientific_notation_is_a_value(capsys):
         (["refframe", "--n", "1", "--dim", "1025"], "argument --dim: must be at most 1024, got 1025"),
         (["twirl", "--samples", "3", "--workers", "65"], "argument --workers: must be at most 64, got 65"),  # parse time
         (["symspan", "--samples", "50001"], "argument --samples: must be at most 50000, got 50001"),
+        (["symspan", "--samples", "19"], "argument --samples: must be an integer >= 20, got 19"),  # parse time
     ],
 )
 def test_bad_input_message_names_the_problem(capsys, argv, message):

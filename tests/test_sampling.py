@@ -432,6 +432,56 @@ def test_twirl_over_streams_matches_per_shard_merge(split, samples, workers):
     assert np.abs(est - _per_shard_merge(rho, split, samples, workers, 6)).max() <= 1e-15
 
 
+
+def _per_chunk_twirl(psi: StateVector, split: BipartiteSplit, samples: int, streams) -> np.ndarray:
+    """Oracle: one accumulator product per chunk, whatever its length, in stream and chunk order."""
+    base, extra = divmod(samples, len(streams))
+    c = psi.amps.reshape(split.d1, split.d2)
+    acc = np.zeros((split.dim, split.dim), dtype=complex)
+    for i, stream in enumerate(streams):
+        for v, w, swaps in sample_m_chunks(split, base + (i < extra), stream):
+            x = _factor_products(v, np.where(swaps[:, None, None], c.T, c) if swaps.any() else c, w)
+            acc += x.T @ x.conj()
+    acc += acc.conj().T
+    return acc / acc.trace().real
+
+
+@pytest.mark.parametrize(
+    "split, samples, workers",
+    [(BipartiteSplit(3, 3), 40, 4), (BipartiteSplit(2, 4), 24, 3), (BipartiteSplit(3, 3), 4096 + 9, 1), (S23, 5000, 2)],
+    ids=["3x3-shares-10", "2x4-shares-of-D", "3x3-tail-of-D", "2x3-long-shares"],
+)
+def test_twirl_shares_of_d_rows_are_one_product_each(split, samples, workers):
+    # every chunk here has D = d1*d2 rows or more, so each stays its own product and the bits are the per-chunk ones
+    psi = random_state(split.dim, seeded(samples))
+
+    def streams():
+        return seeded(12).spawn(workers) if workers > 1 else [seeded(12)]
+
+    est = twirl_monte_carlo(psi, split, samples, streams())
+    assert np.array_equal(est, _per_chunk_twirl(psi, split, samples, streams()))
+
+
+@pytest.mark.parametrize(
+    "split, samples, workers",
+    [(BipartiteSplit(3, 3), 30, 4), (BipartiteSplit(2, 4), 13, 13), (BipartiteSplit(4, 4), 64, 64), (S22, 3, 3)],
+    ids=["3x3-shares-7-8", "2x4-one-sample-shares", "4x4-one-sample-shares", "2x2-below-D-at-the-end"],
+)
+@pytest.mark.parametrize("rank", [1, 2], ids=["pure", "rank2"])
+def test_twirl_gathers_shares_shorter_than_d(split, samples, workers, rank):
+    # shares below D rows are gathered into shared products; only the summation order moves
+    g = seeded(31)
+    z = g.standard_normal((split.dim, rank)) + 1j * g.standard_normal((split.dim, rank))
+    a = z @ z.conj().T
+    rho = DensityOperator(a / a.trace().real)
+    base, extra = divmod(samples, workers)
+    reference = sum(
+        (base + (i < extra)) * _dense_twirl(rho, split, base + (i < extra), stream)
+        for i, stream in enumerate(seeded(17).spawn(workers))
+    )
+    est = twirl_monte_carlo(rho, split, samples, seeded(17).spawn(workers))
+    assert np.abs(est - reference / samples).max() < 1e-13
+
 def test_twirl_one_stream_in_a_sequence_is_the_bare_stream():
     rho = DensityOperator.from_state(random_state(6, seeded(4)))
     bare = twirl_monte_carlo(rho, S23, 5000, seeded(8))
