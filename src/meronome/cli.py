@@ -286,7 +286,8 @@ def _count(text: str) -> int:
     return _bounded_integer(1, math.inf, text)
 
 
-_DENSE_DIM_CAP = 1024  # rows of the largest dense matrix a command builds: twirl's D x D, superdense's d x d
+_DENSE_DIM_CAP = 1024  # rows of superdense's d x d and of twirl's D x D estimate
+_TWIRL_FACTOR_CAP = math.isqrt(_DENSE_DIM_CAP)  # twirl's d1, d2: a chunk draws 4096 (d1^2 + d2^2) Ginibre entries
 _WORKERS_CAP = 64  # twirl sub-streams: it bounds the spawned Philox states, one per stream; rho is factored once per run
 _SYMSPAN_CAP = 50_000  # symspan samples: sym_span_analysis holds about 0.9 KB per sample, 83 MB at the cap
 
@@ -310,6 +311,9 @@ def _twirl_split(text: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if split.dim > _DENSE_DIM_CAP:
         raise argparse.ArgumentTypeError(f"d1*d2 must be at most {_DENSE_DIM_CAP}, got {text}")
+    for name, d in (("d1", split.d1), ("d2", split.d2)):
+        if d > _TWIRL_FACTOR_CAP:
+            raise argparse.ArgumentTypeError(f"{name} must be at most {_TWIRL_FACTOR_CAP}, got {text}")
     return text
 
 
@@ -346,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_workers, default=1, help=f"random sub-streams, at most {_WORKERS_CAP} (default 1)")
     p.add_argument("--samples", type=_count, required=True)
     p.add_argument("--split", type=_twirl_split, default="2x2",
-                   help=f"bipartition as d1xd2, d1*d2 <= {_DENSE_DIM_CAP} (default 2x2)")
+                   help=f"bipartition as d1xd2, d1*d2 <= {_DENSE_DIM_CAP} and d1, d2 <= {_TWIRL_FACTOR_CAP} (default 2x2)")
     p.set_defaults(handler=_cmd_twirl)
 
     p = sub.add_parser("superdense", parents=[seeded], help="frame-independent one-bit signaling")

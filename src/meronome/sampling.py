@@ -41,13 +41,14 @@ def haar_unitary_batch(dim: int, count: int, rng: np.random.Generator) -> np.nda
     """Stack of `count` Haar-distributed dim x dim unitaries, shape (count, dim, dim).
 
     Ginibre matrix -> the Q of its QR with positive real diag(R), which is exactly Haar; three kernels by dim.
-    At 2 a closed form: q0 = z0/|z0| = (a, b) and q1 = (s/|s|)(-conj b, conj a), s = det[q0, z1].  At 1 and 3
-    modified Gram-Schmidt.  Both act on planes laid out (column, row, sample), so each sum runs over whole sample
-    vectors, and return a view of them.  Above _SMALL_DIM batched QR with columns rephased by diag(R).
+    Up to _SMALL_DIM they act on planes laid out (column, row, sample) and return a view of them.  At 2 and 3
+    the last column is closed form, the unit vector the Gram-Schmidt columns before it leave, rephased to
+    r = |s| > 0, s = det[q0, .., z_last]: q1 = (s/|s|)(-conj b, conj a) for q0 = (a, b), or q2 = (s/|s|)
+    conj(q0 x q1).  At 1, q0 = z0/|z0|.  Above _SMALL_DIM batched QR with columns rephased by diag(R).
     """
     _check_stack(dim, count)
     block = rng.standard_normal((2, count, dim, dim))
-    if dim != 2:  # Q does not depend on the scale, so the closed form skips it
+    if dim not in (2, 3):  # Q does not depend on the scale, so the closed forms skip it
         block *= _INV_SQRT2
     if dim > _SMALL_DIM:
         q, r = np.linalg.qr(block[0] + 1j * block[1])
@@ -55,17 +56,23 @@ def haar_unitary_batch(dim: int, count: int, rng: np.random.Generator) -> np.nda
         return q * (diag / np.abs(diag))[:, None, :]
     planes = np.empty((dim, dim, count), dtype=np.complex128)  # planes[j, i] = entry (i, j) of every sample
     planes.real, planes.imag = block[0].T, block[1].T
+    if dim == 1:
+        planes[0] /= np.linalg.norm(planes[0], axis=0)
+        return planes.T
+    q0, z1 = planes[:2]
+    q0 *= 1.0 / np.linalg.norm(q0, axis=0)  # a real reciprocal: complex division costs about three times as much
     if dim == 2:
-        q0, z1 = planes
-        q0 *= 1.0 / np.linalg.norm(q0, axis=0)  # a real reciprocal: complex division costs about three times as much
         phase = q0[0] * z1[1] - q0[1] * z1[0]
         phase *= 1.0 / np.abs(phase)
         z1[0], z1[1] = -phase * q0[1].conj(), phase * q0[0].conj()
         return planes.T
-    for j, col in enumerate(planes):
-        for q in planes[:j]:
-            col -= q * (q.conj() * col).sum(axis=0)
-        col /= np.linalg.norm(col, axis=0)
+    z1 -= q0 * (q0.conj() * z1).sum(axis=0)
+    z1 *= 1.0 / np.linalg.norm(z1, axis=0)
+    (a0, a1, a2), (b0, b1, b2), z2 = planes
+    cross = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    phase = (cross * z2).sum(axis=0)
+    phase *= 1.0 / np.abs(phase)
+    np.multiply(cross.conj(), phase, out=z2)
     return planes.T
 
 
@@ -137,16 +144,19 @@ def random_m_element(split: BipartiteSplit, rng: np.random.Generator) -> Meronom
     return random_m_elements(split, 1, rng)[0]
 
 
-def _factor_products(v: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Rows vec(v c w^T), shape (count, d1*d2), for stacks v, w and a d1 x d2 c or a stack of them.  Up to
-    _SMALL_DIM a loop over the contracted index, each step a broadcast multiply-add over sample planes."""
+def _factor_products(v: np.ndarray, c: np.ndarray, w: np.ndarray, swaps: np.ndarray | None) -> np.ndarray:
+    """Rows vec(v c w^T), shape (count, d1*d2), for stacks v, w and a d1 x d2 c, with c^T in place of c where
+    `swaps` is set (None sets none).  Up to _SMALL_DIM one GEMM of c^T, and of c when a sample swaps, with v's
+    sample planes gives the planes of v c (selected per sample against v c^T); one einsum then takes in w."""
     count, d1, d2 = len(v), v.shape[1], w.shape[1]
+    flip = swaps is not None and swaps.any()
     if max(d1, d2) > _SMALL_DIM:
+        c = np.where(swaps[:, None, None], c.T, c) if flip else c
         return (v @ c @ w.transpose(0, 2, 1)).reshape(count, d1 * d2)
-    x = np.zeros((d1, d2, count), dtype=np.complex128)
-    for j, w_col in enumerate(w.T):  # v.T[i, a] = v[:, a, i]: column i of v, one sample vector per row
-        x += sum(c[..., i, j] * v_col for i, v_col in enumerate(v.T))[:, None] * w_col
-    return x.reshape(d1 * d2, count).T
+    planes = v.T.reshape(d1, d1 * count)  # v.T[i, a] = v[:, a, i]: column i of v, one sample vector per row
+    y = ((np.concatenate((c, c.T)) if flip else c.T) @ planes).reshape(-1, d2, d1, count)
+    y = np.where(swaps, *y) if flip else y[0]  # planes of v c^T, then of v c
+    return np.einsum("jas,jbs->abs", y, w.T).reshape(d1 * d2, count).T
 
 
 def twirl_monte_carlo(
@@ -178,20 +188,20 @@ def twirl_monte_carlo(
         values, vectors = np.linalg.eigh(rho.entries)
         keep = values > 1e-14 * values[-1]
         c_mats = (vectors[:, keep] * np.sqrt(values[keep])).T.reshape(-1, split.d1, split.d2)
+    flips = [not np.array_equal(c, c.T) for c in c_mats]  # c = c^T is its own swap image: no per-sample select
     acc = np.zeros((split.dim, split.dim), dtype=np.complex128)
     held = []  # consecutive row blocks shorter than D, taken as one product once they total D rows
     for i, stream in enumerate(streams):
         for v, w, swaps in sample_m_chunks(split, base + (i < extra), stream):
-            for c in c_mats:
-                if swaps.any():
-                    c = np.where(swaps[:, None, None], c.T, c)
-                x = _factor_products(v, c, w)
+            for c, flip in zip(c_mats, flips):
+                x = _factor_products(v, c, w, swaps if flip else None)
                 if len(x) < split.dim:
                     held.append(x)
                     if sum(map(len, held)) < split.dim:
                         continue
                     x, held = np.concatenate(held), []
                 acc += x.T @ x.conj()
+            del v, w, swaps, x  # else the whole chunk stays alive through the next draw
     if held:
         x = np.concatenate(held)
         acc += x.T @ x.conj()

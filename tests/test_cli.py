@@ -323,6 +323,8 @@ def test_csv_format(capsys):
         ["superdense", "--dim", "1025", "--trials", "1"],                 # --dim above the dense cap
         ["refframe", "--n", "1", "--dim", "1025"],
         ["symspan", "--samples", "50001"],                                # --samples above the symspan cap
+        ["twirl", "--samples", "256", "--split", "2x128"],                # d1*d2 within its cap, d2 above 32
+        ["twirl", "--samples", "10", "--split", "33x1"],
     ],
 )
 def test_bad_inputs_exit_2(capsys, argv):
@@ -374,6 +376,8 @@ def test_negative_scientific_notation_is_a_value(capsys):
         (["twirl", "--samples", "3", "--workers", "65"], "argument --workers: must be at most 64, got 65"),  # parse time
         (["symspan", "--samples", "50001"], "argument --samples: must be at most 50000, got 50001"),
         (["symspan", "--samples", "19"], "argument --samples: must be an integer >= 20, got 19"),  # parse time
+        (["twirl", "--samples", "256", "--split", "2x128"], "argument --split: d2 must be at most 32, got 2x128"),
+        (["twirl", "--samples", "10", "--split", "33x1"], "argument --split: d1 must be at most 32, got 33x1"),
     ],
 )
 def test_bad_input_message_names_the_problem(capsys, argv, message):
