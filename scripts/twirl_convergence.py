@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from meronome.linalg import BipartiteSplit, DensityOperator, StateVector
+from meronome.linalg import BipartiteSplit, StateVector
 from meronome.sampling import seeded, twirl_monte_carlo
 
 
@@ -28,14 +28,13 @@ def main() -> None:
 
     split = BipartiteSplit(2, 2)
     bell = StateVector.normalized(np.array([1, 0, 0, 1], dtype=complex))
-    rho = DensityOperator.from_state(bell)
     target = np.eye(split.dim) / split.dim  # the exact twirl of every input
 
     print(f"{'samples':>10}  {'mean distance':>14}  {'max distance':>14}")
     for count in args.counts:
         distances = []
         for seed in range(args.seeds):
-            estimate = twirl_monte_carlo(rho, split, count, seeded(seed))
+            estimate = twirl_monte_carlo(bell, split, count, seeded(seed))
             distances.append(np.linalg.norm(estimate - target))
         print(f"{count:>10}  {np.mean(distances):>14.6f}  {np.max(distances):>14.6f}")
 

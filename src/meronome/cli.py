@@ -69,10 +69,11 @@ def _read_state_text(spec: str) -> str:
 def _parse_state(text: str) -> np.ndarray:
     amps = []
     for token in text.split():
-        re_part, sep, im_part = token.partition(",")
-        if not sep:
-            raise ValueError(f"bad amplitude {token!r}; expected re,im")
-        amps.append(complex(float(re_part), float(im_part)))
+        try:
+            re_part, im_part = token.split(",")
+            amps.append(complex(float(re_part), float(im_part)))
+        except ValueError:
+            raise ValueError(f"bad amplitude {token!r}; expected re,im") from None
     if not amps:
         raise ValueError("empty state")
     return np.array(amps, dtype=np.complex128)

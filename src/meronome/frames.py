@@ -216,30 +216,24 @@ def theta_frame_unitary(theta: float) -> Operator:
     return Operator(np.diag([1.0, 1.0, 1.0, np.exp(-1j * theta)]).astype(np.complex128))
 
 
-# How a Pauli acting on one Bell-frame subsystem looks as an ordinary
-# two-qubit operator: (label, side) -> (sign, left label, right label).
-_BELL_PAULI_TABLE = {
-    ("X", "A"): (1.0, "I", "X"),
-    ("Y", "A"): (1.0, "Z", "Y"),
-    ("Z", "A"): (1.0, "Z", "Z"),
-    ("X", "B"): (1.0, "Z", "I"),
-    ("Y", "B"): (-1.0, "Y", "X"),
-    ("Z", "B"): (1.0, "X", "X"),
-}
-
-
 def ab_pauli(label: str, side: str) -> Operator:
     """Pauli `label` on Bell-frame subsystem `side` ('A' or 'B'), as a two-qubit matrix.
 
     Subsystem A distinguishes even from odd parity, subsystem B the relative
     sign; the returned operator acts on ordinary two-qubit amplitudes and is
-    the identity on the other Bell-frame subsystem.
+    the identity on the other Bell-frame subsystem.  It is U^dag (sigma (x) 1) U or
+    U^dag (1 (x) sigma) U with U = bell_frame_unitary(), read out as the exact
+    signed two-qubit Pauli string it equals.
     """
-    try:
-        sign, left, right = _BELL_PAULI_TABLE[(label, side)]
-    except KeyError:
-        raise ValueError(f"no dictionary entry for Pauli {label!r} on side {side!r}") from None
-    return Operator(sign * np.kron(_SIGMA[left], _SIGMA[right]))
+    if label not in ("X", "Y", "Z") or side not in ("A", "B"):
+        raise ValueError(f"no dictionary entry for Pauli {label!r} on side {side!r}")
+    u, eye = bell_frame_unitary().entries, _SIGMA["I"]
+    local = np.kron(_SIGMA[label], eye) if side == "A" else np.kron(eye, _SIGMA[label])
+    strings = np.array([np.kron(left, right) for left in _SIGMA.values() for right in _SIGMA.values()])
+    # The 16 strings are orthogonal with squared norm 4, so tr(P^dag M) / 4 is M's coefficient on P.
+    coeffs = np.einsum("kij,ij->k", strings.conj(), u.conj().T @ local @ u).real / 4
+    best = np.abs(coeffs).argmax()
+    return Operator(float(np.round(coeffs[best])) * strings[best])
 
 
 def spin_hamiltonian(alpha: float, beta: float) -> Operator:
@@ -249,7 +243,7 @@ def spin_hamiltonian(alpha: float, beta: float) -> Operator:
     alpha * Z_A + beta * Z_B, so its eigenvectors are the Bell states and
     its spectrum is {+-alpha +- beta}.
     """
-    return Operator(alpha * np.kron(_SIGMA["Z"], _SIGMA["Z"]) + beta * np.kron(_SIGMA["X"], _SIGMA["X"]))
+    return Operator(alpha * ab_pauli("Z", "A").entries + beta * ab_pauli("Z", "B").entries)
 
 
 def _try_product_form(branches: np.ndarray, split: BipartiteSplit, tol: float):

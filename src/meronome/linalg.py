@@ -96,7 +96,8 @@ class StateVector:
             raise ValueError("cannot normalize non-finite amplitudes")
         if big == 0.0:
             raise ValueError("cannot normalize a zero amplitude vector")
-        arr = arr / float(big)  # now 1 <= max |z| <= sqrt(2): the norm can neither overflow nor underflow
+        mantissa, exponent = np.frexp(big)  # 2**-exponent scales exactly; 1 / big overflows when big is subnormal
+        arr = np.ldexp(arr.view(np.float64), -exponent).view(np.complex128) / float(mantissa)  # 1 <= max |z| <= sqrt(2)
         return cls(arr / np.linalg.norm(arr))
 
     @classmethod

@@ -378,6 +378,8 @@ def test_negative_scientific_notation_is_a_value(capsys):
         (["symspan", "--samples", "19"], "argument --samples: must be an integer >= 20, got 19"),  # parse time
         (["twirl", "--samples", "256", "--split", "2x128"], "argument --split: d2 must be at most 32, got 2x128"),
         (["twirl", "--samples", "10", "--split", "33x1"], "argument --split: d1 must be at most 32, got 33x1"),
+        (["classify", "--state", "1,2,3 0,0", "--split", "2x1"], "bad amplitude '1,2,3'; expected re,im"),
+        (["classify", "--state", "1,x 0,0", "--split", "2x1"], "bad amplitude '1,x'; expected re,im"),
     ],
 )
 def test_bad_input_message_names_the_problem(capsys, argv, message):

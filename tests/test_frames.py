@@ -236,7 +236,7 @@ _DICTIONARY = {
 def test_pauli_dictionary_entries():
     for (label, side), (left, right, sign) in _DICTIONARY.items():
         expected = sign * np.kron(pauli(left).entries, pauli(right).entries)
-        assert_allclose(ab_pauli(label, side).entries, expected, atol=1e-12)
+        assert np.array_equal(ab_pauli(label, side).entries, expected), (label, side)
 
 
 def test_pauli_dictionary_matches_frame_conjugation():
@@ -280,6 +280,8 @@ def test_spin_hamiltonian_is_sum_of_sides():
         ham = spin_hamiltonian(alpha, beta).entries
         split_form = alpha * ab_pauli("Z", "A").entries + beta * ab_pauli("Z", "B").entries
         assert np.abs(ham - split_form).max() < 1e-12
+        zz, xx = (np.kron(pauli(p).entries, pauli(p).entries) for p in "ZX")
+        assert np.array_equal(ham, alpha * zz + beta * xx)
         expected = sorted([alpha + beta, alpha - beta, -alpha + beta, -alpha - beta], reverse=True)
         assert_allclose(sorted(np.linalg.eigvalsh(ham), reverse=True), expected, atol=1e-10)
 

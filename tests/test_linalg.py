@@ -74,6 +74,16 @@ def test_state_normalized_tiny_amplitudes():
     assert_allclose(s.amps, [ISQ2, 0.0, ISQ2])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "amps,expected",
+    [([5e-324, 5e-324], [ISQ2, ISQ2]), ([1e-310, 1e-310j], [ISQ2, 1j * ISQ2]), ([1e-320, 0.0], [1.0, 0.0])],
+)
+def test_state_normalized_subnormal_amplitudes(amps, expected):
+    # the largest part is subnormal, so its reciprocal overflows
+    assert_allclose(StateVector.normalized(amps).amps, expected, atol=1e-15)
+
+
 def test_state_normalized_is_scale_invariant():
     rng = seeded(12)
     for _ in range(5):
