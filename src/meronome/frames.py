@@ -68,13 +68,87 @@ def swap_operator(d: int) -> Operator:
 
 
 def _times_swap(mat: np.ndarray, d: int) -> np.ndarray:
-    """mat @ swap_operator(d) without the matrix: column (a, b) of the product is column (b, a) of mat."""
-    return mat.reshape(mat.shape[0], d, d).transpose(0, 2, 1).reshape(mat.shape)
+    """mat @ swap_operator(d) without the matrix, for one or a stack: column (a, b) of the product is column (b, a)."""
+    return mat.reshape(*mat.shape[:-1], d, d).swapaxes(-1, -2).reshape(mat.shape)
+
+
+def _factor_action(v: np.ndarray, w: np.ndarray, swaps, psi: np.ndarray) -> np.ndarray:
+    """v Psi w^T for each (d1, d2) amplitude matrix Psi in psi, on Psi^T where `swaps` is set: with v, w, swaps
+    broadcast against psi's leading axes, the action of a stack; with one matrix each and a bool, of one element."""
+    if isinstance(swaps, bool):  # one element: a transposed view, where np.where would copy
+        psi = psi.swapaxes(-1, -2) if swaps else psi
+    elif swaps.any():
+        psi = np.where(swaps, psi.swapaxes(-1, -2), psi)
+    return v @ psi @ w.swapaxes(-1, -2)
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass `cls` holding `fields`, without running its __post_init__ checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+@dataclass(frozen=True, eq=False)
+class ElementStack:
+    """Decomposition-preserving unitaries on one split: row i is (v[i] (x) w[i]), then the factor swap if swaps[i].
+
+    Construction checks every factor's unitarity in one batched Gram test.  from_elements stacks MeronomicElements
+    and stack[i] is row i as one, without checking again: a MeronomicElement was checked when it was made.
+    """
+
+    v: np.ndarray
+    w: np.ndarray
+    swaps: np.ndarray
+
+    def __post_init__(self):
+        v, w = np.ascontiguousarray(self.v, dtype=np.complex128), np.ascontiguousarray(self.w, dtype=np.complex128)
+        swaps = np.asarray(self.swaps, dtype=bool)
+        if swaps.ndim != 1 or v.shape != swaps.shape + v.shape[-1:] * 2 or w.shape != swaps.shape + w.shape[-1:] * 2:
+            raise ValueError(f"expected shapes (n, d1, d1), (n, d2, d2), (n,), got {v.shape}, {w.shape}, {swaps.shape}")
+        square = v.shape[1:] == w.shape[1:]
+        for f in (np.concatenate((v, w)),) if square else (v, w):  # one Gram product per factor size
+            if not np.abs(f.conj().swapaxes(1, 2) @ f - np.eye(f.shape[1])).max(initial=0.0) <= TOL_ALGEBRA:
+                raise ValueError("factors of a meronomic element must be unitary")
+        if not square and swaps.any():
+            raise ValueError("factor swap requires equal subsystem dimensions")
+        self.__dict__.update(v=v, w=w, swaps=swaps)
+
+    @classmethod
+    def from_elements(cls, elements) -> "ElementStack":
+        """The stack of one or more MeronomicElements on one split, not checked again."""
+        if len({elem.split for elem in elements}) != 1:
+            raise ValueError("a stack takes one or more elements, all on one split")
+        v, w, swaps = map(np.array, zip(*((elem.v.entries, elem.w.entries, elem.swap) for elem in elements)))
+        return _unchecked(cls, v=v, w=w, swaps=swaps)
+
+    def __len__(self) -> int:
+        return len(self.swaps)
+
+    def __getitem__(self, i: int) -> "MeronomicElement":
+        return _unchecked(MeronomicElement, v=Operator(self.v[i]), w=Operator(self.w[i]), swap=bool(self.swaps[i]))
+
+    @property
+    def split(self) -> BipartiteSplit:
+        return BipartiteSplit(self.v.shape[1], self.w.shape[1])
+
+    def act(self, amps: np.ndarray) -> np.ndarray:
+        """Raw amplitudes of row i applied to amps[i], of shape (..., d1*d2), through the factors: with Psi a state's
+        amplitudes reshaped to (d1, d2), the swap is Psi^T and v (x) w is v Psi w^T.  Nothing is renormalized."""
+        psi = amps.reshape(*amps.shape[:-1], self.v.shape[1], self.w.shape[1])
+        row = (slice(None),) + (None,) * (psi.ndim - 3)  # element i broadcast over the extra axes of amps[i]
+        return _factor_action(self.v[row], self.w[row], self.swaps[row + (None, None)], psi).reshape(amps.shape)
+
+    def operators(self) -> np.ndarray:
+        """The full matrices (v (x) w) * swap as one (n, D, D) array, for membership tests that need them whole."""
+        (n, d1, _), d2 = self.v.shape, self.w.shape[1]
+        mats = (self.v[:, :, None, :, None] * self.w[:, None, :, None, :]).reshape(n, d1 * d2, d1 * d2)  # linalg.kron
+        return np.where(self.swaps[:, None, None], _times_swap(mats, d1), mats) if d1 == d2 else mats
 
 
 @dataclass(frozen=True, eq=False)
 class MeronomicElement:
-    """One decomposition-preserving unitary: (v (x) w) then optionally the factor swap.
+    """One decomposition-preserving unitary: (v (x) w) then optionally the factor swap, a checked count-1 ElementStack.
 
     The swap flag is only meaningful for equal factor dimensions.
     """
@@ -84,10 +158,7 @@ class MeronomicElement:
     swap: bool = False
 
     def __post_init__(self):
-        if not self.v.is_unitary(TOL_ALGEBRA) or not self.w.is_unitary(TOL_ALGEBRA):
-            raise ValueError("factors of a meronomic element must be unitary")
-        if self.swap and self.v.dim != self.w.dim:
-            raise ValueError("factor swap requires equal subsystem dimensions")
+        ElementStack(self.v.entries[None], self.w.entries[None], [self.swap])  # the stack's checks and messages
 
     @classmethod
     def identity(cls, split: BipartiteSplit) -> "MeronomicElement":
@@ -98,20 +169,14 @@ class MeronomicElement:
         return BipartiteSplit(self.v.dim, self.w.dim)
 
     def act(self, amps: np.ndarray) -> np.ndarray:
-        """Raw amplitudes of (v (x) w) * swap applied to `amps`, via the factors.
-
-        With Psi = amps reshaped to (d1, d2) the swap is Psi^T and v (x) w is
-        v Psi w^T, so no composite matrix is built.  Nothing is renormalized.
-        """
+        """Raw amplitudes of (v (x) w) * swap applied to the state `amps`, as ElementStack.act does per row."""
         psi = amps.reshape(self.v.dim, self.w.dim)
-        if self.swap:
-            psi = psi.T
-        return (self.v.entries @ psi @ self.w.entries.T).reshape(-1)
+        return _factor_action(self.v.entries, self.w.entries, bool(self.swap), psi).reshape(-1)
 
     def to_operator(self) -> Operator:
-        """The full matrix (v (x) w) * swap, for membership tests that need it whole."""
-        mat = kron(self.v, self.w)
-        return Operator(_times_swap(mat.entries, self.v.dim)) if self.swap else mat
+        """The full matrix (v (x) w) * swap, as ElementStack.operators builds it per row."""
+        stack = _unchecked(ElementStack, v=self.v.entries[None], w=self.w.entries[None], swaps=np.array([self.swap]))
+        return Operator(stack.operators()[0])
 
 
 @dataclass(frozen=True, eq=False)

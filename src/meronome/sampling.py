@@ -18,7 +18,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .frames import MeronomicElement
+from .frames import ElementStack, MeronomicElement
 from .linalg import BipartiteSplit, DensityOperator, Operator, StateVector
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -132,11 +132,14 @@ def sample_m_chunks(split: BipartiteSplit, n: int, rng: np.random.Generator):
         yield v, w, swaps
 
 
-def random_m_elements(split: BipartiteSplit, n: int, rng: np.random.Generator) -> list[MeronomicElement]:
-    """n Haar-random decomposition-preserving elements: independent Haar factors, and for square splits
-    the swap with probability 1/2, otherwise never."""
-    chunks = sample_m_chunks(split, n, rng)
-    return [MeronomicElement(Operator(v), Operator(w), bool(s)) for c in chunks for v, w, s in zip(*c)]
+def random_m_elements(split: BipartiteSplit, n: int, rng: np.random.Generator) -> ElementStack:
+    """n Haar-random decomposition-preserving elements as one ElementStack: independent Haar factors, and for
+    square splits the swap with probability 1/2, otherwise never."""
+    chunks = list(sample_m_chunks(split, n, rng))
+    if len(chunks) == 1:  # n <= _CHUNK, every count-1 view included: no concatenation copy
+        return ElementStack(*chunks[0])
+    empty = np.empty((0, split.d1, split.d1)), np.empty((0, split.d2, split.d2)), np.empty(0, bool)
+    return ElementStack(*map(np.concatenate, zip(empty, *chunks)))
 
 
 def random_m_element(split: BipartiteSplit, rng: np.random.Generator) -> MeronomicElement:

@@ -9,7 +9,9 @@ connecting them.  The checks sample these statements and return Verdicts
 with reproducible witnesses instead of raising, so they can run as suites.
 The theorem suites draw each split's elements, probes and Haar candidates
 in stacks, and every non-member check its PROBES probes up front, all
-through the stacked samplers of meronome.sampling.
+through the stacked samplers of meronome.sampling.  The group elements are
+checked as that ElementStack: the Schmidt and membership checks take a stack
+and return one Verdict per row, which the suites read in trial order.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .frames import (
+    ElementStack,
     Entanglement,
     Membership,
     MeronomicElement,
@@ -130,39 +133,51 @@ def gamma_delta(psi_local: StateVector, phi_local: StateVector) -> tuple[StateVe
     return gamma, delta
 
 
-def schmidt_preservation_check(elem: MeronomicElement, state: StateVector, split: BipartiteSplit) -> Verdict:
-    """Does the element keep the (sorted) Schmidt parameters of this state?"""
-    pair = np.array([state.amps, elem.act(state.amps)]).reshape(2, split.d1, split.d2)
-    before, after = np.linalg.svd(pair, compute_uv=False) ** 2  # the image's parameters, up to its squared norm
-    if after.sum() < 1e-24:
-        return Verdict(False, "element annihilated the probe state", witness=state.amps)
-    drift = float(np.abs(before - after / after.sum()).max())
-    if drift <= TOL_DRIFT:
-        return Verdict(True, f"Schmidt parameters preserved (max drift {drift:.2e})")
-    return Verdict(False, f"Schmidt parameters drifted by {drift:.2e} > {TOL_DRIFT}", witness=state.amps)
+def _schmidt_drifts(elems: ElementStack, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the largest change of states[i]'s sorted Schmidt parameters under element i (read up to the image's
+    squared norm) and whether the image was annihilated; from one SVD over all probes and images."""
+    for row in np.flatnonzero(~(np.abs(np.linalg.norm(states, axis=1) - 1.0) <= TOL_ALGEBRA)):
+        StateVector(states[row])  # raises the per-state message for a probe that is not a unit vector
+    pairs = np.concatenate((states, elems.act(states))).reshape(2 * len(states), elems.split.d1, -1)
+    before, after = np.split(np.linalg.svd(pairs, compute_uv=False) ** 2, 2)
+    norms = after.sum(axis=1)
+    gone = norms < 1e-24
+    return np.abs(before - after / np.where(gone, 1.0, norms)[:, None]).max(axis=1), gone
 
 
-def member_recognition_check(elem: MeronomicElement) -> Verdict:
-    """Is a constructed group element recognized by the membership test?"""
-    mat = elem.to_operator()
-    expected = Membership.SWAP_LOCAL if elem.swap else Membership.LOCAL
-    try:
-        result = factor_as_local(mat, elem.split, TOL_EIGEN)
-    except ValueError as exc:
-        return Verdict(False, f"membership test rejected the element: {exc}", witness=mat.entries)
-    if result.verdict is expected and result.residual <= TOL_EIGEN:
-        return Verdict(True, f"recognized as {result.verdict.value} (residual {result.residual:.2e})")
-    return Verdict(
-        False,
-        f"expected {expected.value}, got {result.verdict.value} with residual {result.residual:.2e}",
-        witness=mat.entries,
-    )
+def schmidt_preservation_check(elems: ElementStack, states: np.ndarray) -> list[Verdict]:
+    """Does each element keep the (sorted) Schmidt parameters of its probe, row i of `states`?  One verdict per row."""
+    drifts, gone = _schmidt_drifts(elems, states)
+    return [
+        Verdict(False, "element annihilated the probe state", witness=state) if dead
+        else Verdict(True, f"Schmidt parameters preserved (max drift {drift:.2e})") if drift <= TOL_DRIFT
+        else Verdict(False, f"Schmidt parameters drifted by {drift:.2e} > {TOL_DRIFT}", witness=state)
+        for state, drift, dead in zip(states, drifts.tolist(), gone.tolist())
+    ]
 
 
-def _escaping_probe(probes: np.ndarray, act, split: BipartiteSplit, cls: Entanglement, tol: float):
-    """The first of `probes` whose image under act is zero or, renormalized, not of class `cls` at tol; else None."""
-    for probe in probes:
-        image = act(probe)
+def member_recognition_check(elems: ElementStack) -> list[Verdict]:
+    """Is each constructed group element recognized by the membership test?  One verdict per row, from one
+    build of the operator stack and one factor_as_local call per row."""
+    verdicts, split = [], elems.split
+    for mat, swap in zip(elems.operators(), elems.swaps.tolist()):
+        expected = Membership.SWAP_LOCAL if swap else Membership.LOCAL
+        try:
+            result = factor_as_local(Operator(mat), split, TOL_EIGEN)
+        except ValueError as exc:
+            verdicts.append(Verdict(False, f"membership test rejected the element: {exc}", witness=mat))
+            continue
+        if result.verdict is expected and result.residual <= TOL_EIGEN:
+            verdicts.append(Verdict(True, f"recognized as {result.verdict.value} (residual {result.residual:.2e})"))
+        else:
+            detail = f"expected {expected.value}, got {result.verdict.value} with residual {result.residual:.2e}"
+            verdicts.append(Verdict(False, detail, witness=mat))
+    return verdicts
+
+
+def _escaping_probe(probes: np.ndarray, images, split: BipartiteSplit, cls: Entanglement, tol: float):
+    """The first of `probes` whose image (from `images`) is zero or, renormalized, not of class `cls` at tol."""
+    for probe, image in zip(probes, images):
         norm = np.linalg.norm(image)
         if norm < 1e-12 or classify(StateVector(image / norm), split, tol) is not cls:
             return probe
@@ -172,7 +187,7 @@ def _escaping_probe(probes: np.ndarray, act, split: BipartiteSplit, cls: Entangl
 def nonmember_product_check(u: Operator, split: BipartiteSplit, rng: np.random.Generator) -> Verdict:
     """A rejected unitary must send one of PROBES product states, drawn up front, to an entangled one."""
     probes = random_states((split.d1, split.d2), PROBES, rng)
-    if _escaping_probe(probes, u.entries.dot, split, Entanglement.PRODUCT, TOL_EIGEN) is not None:
+    if _escaping_probe(probes, map(u.entries.dot, probes), split, Entanglement.PRODUCT, TOL_EIGEN) is not None:
         return Verdict(True, "found a product state mapped to an entangled state")
     return Verdict(False, f"all {PROBES} product probes stayed product", witness=u.entries)
 
@@ -180,22 +195,30 @@ def nonmember_product_check(u: Operator, split: BipartiteSplit, rng: np.random.G
 def nonmember_maxent_check(u: Operator, rng: np.random.Generator) -> Verdict:
     """A rejected two-qubit unitary must break maximal entanglement on one of PROBES probes drawn up front."""
     probes = random_maxent_states(2, PROBES, rng)
-    if _escaping_probe(probes, u.entries.dot, _S22, Entanglement.MAXIMALLY_ENTANGLED, TOL_EIGEN) is not None:
+    images = map(u.entries.dot, probes)
+    if _escaping_probe(probes, images, _S22, Entanglement.MAXIMALLY_ENTANGLED, TOL_EIGEN) is not None:
         return Verdict(True, "found a maximally entangled state mapped off the maximal set")
     return Verdict(False, f"all {PROBES} maximally entangled probes stayed maximal", witness=u.entries)
 
 
-def _stacked_draws(split: BipartiteSplit, trials: int, elements, draw_probes, rng: np.random.Generator):
-    """Yield (element, probes, candidate) per trial on `split`, drawn in stacks of _STACK trials: the group
-    elements through random_m_elements (or the next of `elements`, cycled over `trials`, that are on `split`),
-    then draw_probes(n) as one array, then the Haar candidates."""
+def _stacked_draws(split: BipartiteSplit, trials: int, elements, draw_probes, check, rng: np.random.Generator):
+    """Yield (check's row, probes, candidate) per trial on `split`, drawn in stacks of _STACK trials: the group
+    elements as one ElementStack from random_m_elements (or of the next of `elements`, cycled over `trials`, that
+    are on `split`), then draw_probes(n, split), then the Haar candidates; check(stack, probes) draws nothing."""
     own = [e for e in (elements[t % len(elements)] for t in range(trials)) if e.split == split] if elements else None
     count = trials if own is None else len(own)
     for start in range(0, count, _STACK):
         n = min(_STACK, count - start)
-        elems = random_m_elements(split, n, rng) if own is None else own[start : start + n]
-        probes = draw_probes(n)
-        yield from zip(elems, probes, map(Operator, haar_unitary_batch(split.dim, n, rng)))
+        elems = random_m_elements(split, n, rng) if own is None else ElementStack.from_elements(own[start : start + n])
+        probes = draw_probes(n, split)
+        candidates = haar_unitary_batch(split.dim, n, rng)
+        yield from zip(check(elems, probes), probes, map(Operator, candidates))
+
+
+def _element_verdicts(elems: ElementStack, probes: np.ndarray) -> list[Verdict]:
+    """Per row: the Schmidt verdict where it failed, else the membership verdict."""
+    schmidt, member = schmidt_preservation_check(elems, probes), member_recognition_check(elems)
+    return [first if not first.passed else second for first, second in zip(schmidt, member)]
 
 
 def check_theorem1_suite(
@@ -216,12 +239,11 @@ def check_theorem1_suite(
         raise ValueError(f"trials must be >= 1, got {trials}")
     splits = dict.fromkeys(e.split for e in elements[:trials]) if elements else (_S22, BipartiteSplit(2, 3))
     # One lazy stream per split, so trials still run in order, and 2x2 before 2x3 within one.
-    draws = {s: _stacked_draws(s, trials, elements, lambda n, d=s.dim: random_states((d,), n, rng), rng) for s in splits}
+    probes = lambda n, split: random_states((split.dim,), n, rng)
+    draws = {s: _stacked_draws(s, trials, elements, probes, _element_verdicts, rng) for s in splits}
     for t in range(trials):
         for split in (elements[t % len(elements)].split,) if elements else splits:
-            elem, probe, candidate = next(draws[split])
-            verdict = schmidt_preservation_check(elem, StateVector(probe), split)
-            verdict = member_recognition_check(elem) if verdict.passed else verdict
+            verdict, _, candidate = next(draws[split])
             if verdict.passed and factor_as_local(candidate, split).verdict is Membership.NOT_MEMBER:
                 verdict = nonmember_product_check(candidate, split, rng)
             if not verdict.passed:
@@ -244,9 +266,9 @@ def check_theorem2_suite(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if elements and any(e.split != _S22 for e in elements):
         raise ValueError("the two-qubit suite only takes 2x2 elements")
-    draw_probes = lambda n: random_maxent_states(2, n * PROBES, rng).reshape(n, PROBES, 4)
-    for t, (elem, probes, candidate) in enumerate(_stacked_draws(_S22, trials, elements, draw_probes, rng)):
-        probe = _escaping_probe(probes, elem.act, _S22, Entanglement.MAXIMALLY_ENTANGLED, TOL_ALGEBRA)
+    draw = lambda n, _: random_maxent_states(2, n * PROBES, rng).reshape(n, PROBES, 4)
+    for t, (moved, probes, candidate) in enumerate(_stacked_draws(_S22, trials, elements, draw, ElementStack.act, rng)):
+        probe = _escaping_probe(probes, moved, _S22, Entanglement.MAXIMALLY_ENTANGLED, TOL_ALGEBRA)
         if probe is not None:
             return Verdict(False, f"trial {t}: element moved a maximally entangled state off the maximal set", probe)
         if factor_as_local(candidate, _S22).verdict is Membership.NOT_MEMBER:

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from meronome.frames import (
+    ElementStack,
     Entanglement,
     Membership,
     MeronomicElement,
@@ -30,7 +32,16 @@ from meronome.linalg import (
     partial_trace,
     phase_fix,
 )
-from meronome.sampling import haar_unitary, random_m_element, random_product_state, random_state, seeded
+from meronome.sampling import (
+    haar_unitary,
+    haar_unitary_batch,
+    random_m_element,
+    random_m_elements,
+    random_product_state,
+    random_state,
+    random_states,
+    seeded,
+)
 
 S22 = BipartiteSplit(2, 2)
 ISQ2 = 1.0 / np.sqrt(2.0)
@@ -188,6 +199,47 @@ def test_singlet_is_isotropic():
         elem = MeronomicElement(v, v)
         moved = apply_element(elem, singlet, S22)
         assert abs(abs(singlet.overlap(moved)) - 1.0) < 1e-10
+
+
+def test_element_stack_validation():
+    v, w = haar_unitary_batch(2, 3, seeded(0)), haar_unitary_batch(3, 3, seeded(1))
+    ElementStack(v, w, np.zeros(3, dtype=bool))
+    scaled, nan = v.copy(), v.copy()
+    scaled[1] *= 1 + 1e-9
+    nan[2, 0, 0] = np.nan
+    for bad in (scaled, nan):
+        with pytest.raises(ValueError, match="factors of a meronomic element must be unitary"):
+            ElementStack(bad, w, np.zeros(3, dtype=bool))
+    with pytest.raises(ValueError, match="factor swap requires equal subsystem dimensions"):
+        ElementStack(v, w, np.array([False, True, False]))
+    for shapes in ((v[0], w, np.zeros(3, bool)), (v, w[:2], np.zeros(3, bool)), (v, w, np.zeros((3, 1), bool))):
+        with pytest.raises(ValueError, match=re.escape("expected shapes (n, d1, d1), (n, d2, d2), (n,)")):
+            ElementStack(*shapes)
+    with pytest.raises(ValueError, match="one split"):
+        ElementStack.from_elements([MeronomicElement.identity(S22), MeronomicElement.identity(BipartiteSplit(2, 3))])
+    with pytest.raises(ValueError, match="one split"):
+        ElementStack.from_elements([])
+
+
+@pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3), (4, 4)])
+def test_element_stack_rows_are_its_count1_views(d1, d2):
+    split = BipartiteSplit(d1, d2)
+    rng = seeded(13)
+    stack = random_m_elements(split, 40, rng)
+    assert len(stack) == 40 and stack.split == split
+    assert d1 != d2 or 0 < stack.swaps.sum() < 40
+    amps = random_states((split.dim,), 40 * 3, rng).reshape(40, 3, split.dim)
+    images, mats = stack.act(amps), stack.operators()
+    rows = [stack[i] for i in range(len(stack))]
+    for elem, amp, image, mat in zip(rows, amps, images, mats):
+        assert elem.split == split
+        for probe, moved in zip(amp, image):
+            assert np.array_equal(elem.act(probe), moved)  # bitwise
+        assert np.array_equal(elem.to_operator().entries, mat)
+        assert_allclose(mat @ amp.T, image.T, atol=1e-13)
+    restacked = ElementStack.from_elements(rows)
+    for name in ("v", "w", "swaps"):
+        assert np.array_equal(getattr(restacked, name), getattr(stack, name))
 
 
 def test_apply_element_split_mismatch():

@@ -253,7 +253,7 @@ _AT_COUNT_ZERO = {
     "states": (lambda rng: random_states((3,), 0, rng), (0, 3)),
     "product_states": (lambda rng: random_states((2, 3), 0, rng), (0, 6)),
     "maxent_states": (lambda rng: random_maxent_states(3, 0, rng), (0, 9)),
-    "m_elements": (lambda rng: np.array(random_m_elements(S22, 0, rng)), (0,)),
+    "m_elements": (lambda rng: random_m_elements(S22, 0, rng).operators(), (0, 4, 4)),
     "m_chunks": (lambda rng: np.array(list(sample_m_chunks(S23, 0, rng))), (0,)),
 }
 
@@ -269,11 +269,15 @@ def _parts(elem: MeronomicElement):
     return elem.v.entries, elem.w.entries, elem.swap
 
 
+def _first_row(stack):
+    return stack.v[0], stack.w[0], stack.swaps[0]
+
+
 _VIEWS = {
     "state": (lambda rng: (random_state(3, rng).amps,), lambda rng: random_states((3,), 1, rng)),
     "product": (lambda rng: (random_product_state(S23, rng).amps,), lambda rng: random_states((2, 3), 1, rng)),
     "maxent": (lambda rng: (random_maxent_state(3, rng).amps,), lambda rng: random_maxent_states(3, 1, rng)),
-    "m_element": (lambda rng: _parts(random_m_element(S22, rng)), lambda rng: _parts(random_m_elements(S22, 1, rng)[0])),
+    "m_element": (lambda rng: _parts(random_m_element(S22, rng)), lambda rng: _first_row(random_m_elements(S22, 1, rng))),
 }
 
 

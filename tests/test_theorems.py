@@ -6,13 +6,24 @@ from numpy.testing import assert_allclose
 
 from meronome import theorems
 from meronome.frames import (
+    ElementStack,
     Entanglement,
     MeronomicElement,
     bell_frame_unitary,
     classify,
+    factor_as_local,
+    swap_operator,
 )
 from meronome.linalg import BipartiteSplit, Operator, StateVector
-from meronome.sampling import haar_unitary, random_m_element, random_maxent_state, random_state, seeded
+from meronome.sampling import (
+    haar_unitary,
+    random_m_element,
+    random_m_elements,
+    random_maxent_state,
+    random_state,
+    random_states,
+    seeded,
+)
 from meronome.theorems import (
     PROBES,
     Verdict,
@@ -157,23 +168,92 @@ def test_gamma_delta_rejects_wrong_dims():
 
 def test_schmidt_preservation_check_passes_members():
     rng = seeded(23)
-    elem = random_m_element(S22, rng)
-    verdict = schmidt_preservation_check(elem, random_state(4, rng), S22)
-    assert verdict.passed
+    elems = random_m_elements(S22, 8, rng)
+    verdicts = schmidt_preservation_check(elems, random_states((4,), 8, rng))
+    assert len(verdicts) == 8
+    assert all(verdict.passed for verdict in verdicts)
 
 
 def test_schmidt_preservation_check_catches_fault():
     rng = seeded(24)
-    verdict = schmidt_preservation_check(_faulted_element(), random_state(4, rng), S22)
+    [verdict] = schmidt_preservation_check(ElementStack.from_elements([_faulted_element()]), random_states((4,), 1, rng))
     assert not verdict.passed
     assert verdict.witness is not None
 
 
+def test_schmidt_preservation_check_rejects_a_probe_off_the_unit_sphere():
+    states = random_states((4,), 3, seeded(24))
+    states[1] *= 1.5
+    with pytest.raises(ValueError, match="state vector norm is .*, expected 1 within"):
+        schmidt_preservation_check(random_m_elements(S22, 3, seeded(0)), states)
+
+
 def test_member_recognition_check():
     rng = seeded(25)
-    assert member_recognition_check(random_m_element(S22, rng)).passed
-    faulted = member_recognition_check(_faulted_element())
+    verdicts = member_recognition_check(random_m_elements(S22, 8, rng))
+    assert len(verdicts) == 8
+    assert all(verdict.passed for verdict in verdicts)
+    [faulted] = member_recognition_check(ElementStack.from_elements([_faulted_element()]))
     assert not faulted.passed and faulted.witness is not None
+
+
+def _per_element_drift(elem: MeronomicElement, amps: np.ndarray, split: BipartiteSplit):
+    # the one-element Schmidt check: v Psi w^T (Psi^T when swapped), then one SVD of the probe and its image
+    psi = amps.reshape(split.d1, split.d2)
+    image = elem.v.entries @ (psi.T if elem.swap else psi) @ elem.w.entries.T
+    before, after = np.linalg.svd(np.array([psi, image]), compute_uv=False) ** 2
+    if after.sum() < 1e-24:
+        return None
+    return float(np.abs(before - after / after.sum()).max())
+
+
+def _per_element_operator(elem: MeronomicElement) -> Operator:
+    # the one-element matrix: kron of the factors, times the swap matrix when swapped
+    mat = np.kron(elem.v.entries, elem.w.entries)
+    return Operator(mat @ swap_operator(elem.v.dim).entries if elem.swap else mat)
+
+
+@pytest.mark.parametrize("split", [S22, BipartiteSplit(2, 3)], ids=["2x2", "2x3"])
+def test_stacked_checks_match_the_per_element_formulas(split, monkeypatch):
+    rng = seeded(40)
+    rows = [random_m_elements(split, 64, rng)[i] for i in range(64)]
+    object.__setattr__(rows[30], "w", Operator(2.0 * rows[30].w.entries))  # scaled: a non-member that keeps Schmidt
+    object.__setattr__(rows[31], "w", Operator(np.zeros((split.d2, split.d2), dtype=complex)))  # annihilates
+    elems = ElementStack.from_elements(rows)
+    assert split.d1 != split.d2 or 0 < elems.swaps.sum() < 64
+    states = random_states((split.dim,), 64, rng)
+    drifts, gone = theorems._schmidt_drifts(elems, states)
+    verdicts = schmidt_preservation_check(elems, states)
+    for elem, amps, drift, dead, verdict in zip(rows, states, drifts, gone, verdicts):
+        expected = _per_element_drift(elem, amps, split)
+        assert dead == (expected is None)
+        if expected is not None:
+            assert drift == expected  # bitwise
+            assert verdict.passed == (expected <= theorems.TOL_DRIFT)
+    assert gone.tolist() == [i == 31 for i in range(64)]
+    assert verdicts[31].detail == "element annihilated the probe state"
+    assert np.array_equal(verdicts[31].witness, states[31])
+
+    calls, results = [], {}
+
+    def recording(u, s, tol):
+        calls.append(u.entries)
+        results[len(calls) - 1] = factor_as_local(u, s, tol)
+        return results[len(calls) - 1]
+
+    monkeypatch.setattr(theorems, "factor_as_local", recording)
+    verdicts = member_recognition_check(elems)
+    assert len(calls) == 64  # one factor_as_local call per row
+    for i, (elem, mat, verdict) in enumerate(zip(rows, calls, verdicts)):
+        assert np.array_equal(mat, _per_element_operator(elem).entries)  # bitwise
+        if i in (30, 31):
+            assert i not in results
+            assert verdict.detail == "membership test rejected the element: membership test requires a unitary input"
+            continue
+        expected = factor_as_local(_per_element_operator(elem), split, theorems.TOL_EIGEN)
+        assert results[i].verdict is expected.verdict and results[i].residual == expected.residual  # bitwise
+        assert verdict.passed
+        assert verdict.detail == f"recognized as {expected.verdict.value} (residual {expected.residual:.2e})"
 
 
 def test_nonmember_checks_on_bell_frame_change():
@@ -219,23 +299,33 @@ def test_theorem2_suite_passes(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("suite", [check_theorem1_suite, check_theorem2_suite])
+def test_theorem_suites_pass_across_stack_boundaries(suite, seed):
+    verdict = suite(130, seeded(seed))
+    assert verdict.passed, verdict.detail
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
 def test_lemmas_suite_passes(seed):
     verdict = check_lemmas_suite(50, seeded(seed))
     assert verdict.passed, verdict.detail
 
 
 @pytest.mark.parametrize(
-    "suite, next_draw",
+    "suite, trials, next_draw",
     [
-        (check_theorem1_suite, 0.396954320030786),
-        (check_theorem2_suite, 0.5483359665192086),
-        (check_lemmas_suite, 0.19808447144565167),
+        pytest.param(check_theorem1_suite, 20, 0.396954320030786, id="check_theorem1_suite-0.396954320030786"),
+        pytest.param(check_theorem2_suite, 20, 0.5483359665192086, id="check_theorem2_suite-0.5483359665192086"),
+        pytest.param(check_lemmas_suite, 20, 0.19808447144565167, id="check_lemmas_suite-0.19808447144565167"),
+        # past two stack boundaries
+        (check_theorem1_suite, 130, 0.10694190368985423),
+        (check_theorem2_suite, 130, 0.07733600849473676),
     ],
 )
-def test_suite_draw_order_is_pinned(suite, next_draw):
+def test_suite_draw_order_is_pinned(suite, trials, next_draw):
     # the payload only shows passed/detail, so a dropped or reordered draw would go unseen without this
     rng = seeded(0)
-    assert suite(20, rng).passed
+    assert suite(trials, rng).passed
     assert rng.random() == next_draw
 
 
@@ -298,6 +388,13 @@ def test_theorem1_suite_reports_the_smallest_failing_trial():
     assert verdict.detail.startswith("trial 2 on 2x2: Schmidt parameters drifted by")
 
 
+def test_theorem1_suite_reports_a_fault_in_the_second_stack():
+    good = MeronomicElement.identity(S22)
+    verdict = check_theorem1_suite(130, seeded(0), elements=[good] * 70 + [_faulted_element()])
+    assert verdict.detail.startswith("trial 70 on 2x2: Schmidt parameters drifted by ")
+    assert verdict.witness.shape == (4,)
+
+
 def test_theorem1_suite_checks_schmidt_before_membership():
     # the faulted element fails both checks, the scaled one only membership
     verdict = check_theorem1_suite(1, seeded(0), elements=[_faulted_element()])
@@ -311,11 +408,14 @@ def test_theorem1_suite_runs_2x2_before_2x3_within_a_trial(monkeypatch):
     calls = []
 
     def failing_on(fail):
-        def check(elem, state, split):
-            calls.append(split)
-            if (split.d2, calls.count(split)) in fail:
-                return Verdict(False, "injected", witness=state.amps)
-            return Verdict(True, "fine")
+        # per-row verdicts for a stack; (d2, k) fails the k-th element checked on that split
+        def check(elems, states):
+            verdicts = []
+            for state in states:
+                calls.append(elems.split)
+                failing = (elems.split.d2, calls.count(elems.split)) in fail
+                verdicts.append(Verdict(False, "injected", witness=state) if failing else Verdict(True, "fine"))
+            return verdicts
 
         return check
 
