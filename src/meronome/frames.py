@@ -72,29 +72,19 @@ def _times_swap(mat: np.ndarray, d: int) -> np.ndarray:
     return mat.reshape(*mat.shape[:-1], d, d).swapaxes(-1, -2).reshape(mat.shape)
 
 
-def _factor_action(v: np.ndarray, w: np.ndarray, swaps, psi: np.ndarray) -> np.ndarray:
-    """v Psi w^T for each (d1, d2) amplitude matrix Psi in psi, on Psi^T where `swaps` is set: with v, w, swaps
-    broadcast against psi's leading axes, the action of a stack; with one matrix each and a bool, of one element."""
-    if isinstance(swaps, bool):  # one element: a transposed view, where np.where would copy
-        psi = psi.swapaxes(-1, -2) if swaps else psi
-    elif swaps.any():
-        psi = np.where(swaps, psi.swapaxes(-1, -2), psi)
+def _factor_action(v: np.ndarray, w: np.ndarray, swaps: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """v Psi w^T for each (d1, d2) amplitude matrix Psi in psi, on Psi^T where `swaps` is set, with v, w and the
+    boolean array swaps broadcast against psi's leading axes: the action of an ElementStack and of one element."""
+    psi = np.where(swaps, psi.swapaxes(-1, -2), psi) if swaps.any() else psi
     return v @ psi @ w.swapaxes(-1, -2)
-
-
-def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass `cls` holding `fields`, without running its __post_init__ checks."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 @dataclass(frozen=True, eq=False)
 class ElementStack:
     """Decomposition-preserving unitaries on one split: row i is (v[i] (x) w[i]), then the factor swap if swaps[i].
 
-    Construction checks every factor's unitarity in one batched Gram test.  from_elements stacks MeronomicElements
-    and stack[i] is row i as one, without checking again: a MeronomicElement was checked when it was made.
+    Construction checks every factor's unitarity in one batched Gram test; from_elements does not check again, as
+    a MeronomicElement was checked when it was made.  stack[i] is row i as a (checked) MeronomicElement.
     """
 
     v: np.ndarray
@@ -120,13 +110,12 @@ class ElementStack:
         if len({elem.split for elem in elements}) != 1:
             raise ValueError("a stack takes one or more elements, all on one split")
         v, w, swaps = map(np.array, zip(*((elem.v.entries, elem.w.entries, elem.swap) for elem in elements)))
-        return _unchecked(cls, v=v, w=w, swaps=swaps)
-
-    def __len__(self) -> int:
-        return len(self.swaps)
+        stack = object.__new__(cls)  # no __post_init__: each element was checked when it was made
+        stack.__dict__.update(v=v, w=w, swaps=swaps)
+        return stack
 
     def __getitem__(self, i: int) -> "MeronomicElement":
-        return _unchecked(MeronomicElement, v=Operator(self.v[i]), w=Operator(self.w[i]), swap=bool(self.swaps[i]))
+        return MeronomicElement(Operator(self.v[i]), Operator(self.w[i]), bool(self.swaps[i]))
 
     @property
     def split(self) -> BipartiteSplit:
@@ -171,12 +160,11 @@ class MeronomicElement:
     def act(self, amps: np.ndarray) -> np.ndarray:
         """Raw amplitudes of (v (x) w) * swap applied to the state `amps`, as ElementStack.act does per row."""
         psi = amps.reshape(self.v.dim, self.w.dim)
-        return _factor_action(self.v.entries, self.w.entries, bool(self.swap), psi).reshape(-1)
+        return _factor_action(self.v.entries, self.w.entries, np.bool_(self.swap), psi).reshape(-1)
 
     def to_operator(self) -> Operator:
         """The full matrix (v (x) w) * swap, as ElementStack.operators builds it per row."""
-        stack = _unchecked(ElementStack, v=self.v.entries[None], w=self.w.entries[None], swaps=np.array([self.swap]))
-        return Operator(stack.operators()[0])
+        return Operator(ElementStack.from_elements([self]).operators()[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -136,15 +136,14 @@ def random_m_elements(split: BipartiteSplit, n: int, rng: np.random.Generator) -
     """n Haar-random decomposition-preserving elements as one ElementStack: independent Haar factors, and for
     square splits the swap with probability 1/2, otherwise never."""
     chunks = list(sample_m_chunks(split, n, rng))
-    if len(chunks) == 1:  # n <= _CHUNK, every count-1 view included: no concatenation copy
-        return ElementStack(*chunks[0])
     empty = np.empty((0, split.d1, split.d1)), np.empty((0, split.d2, split.d2)), np.empty(0, bool)
     return ElementStack(*map(np.concatenate, zip(empty, *chunks)))
 
 
 def random_m_element(split: BipartiteSplit, rng: np.random.Generator) -> MeronomicElement:
-    """Haar-random decomposition-preserving element: the count-1 view of random_m_elements."""
-    return random_m_elements(split, 1, rng)[0]
+    """Haar-random decomposition-preserving element: the count-1 view of random_m_elements, checked once."""
+    v, w, swaps = next(sample_m_chunks(split, 1, rng))
+    return MeronomicElement(Operator(v[0]), Operator(w[0]), bool(swaps[0]))
 
 
 def _factor_products(v: np.ndarray, c: np.ndarray, w: np.ndarray, swaps: np.ndarray | None) -> np.ndarray:

@@ -216,7 +216,8 @@ def _per_element_operator(elem: MeronomicElement) -> Operator:
 @pytest.mark.parametrize("split", [S22, BipartiteSplit(2, 3)], ids=["2x2", "2x3"])
 def test_stacked_checks_match_the_per_element_formulas(split, monkeypatch):
     rng = seeded(40)
-    rows = [random_m_elements(split, 64, rng)[i] for i in range(64)]
+    stack = random_m_elements(split, 64, rng)
+    rows = [stack[i] for i in range(64)]
     object.__setattr__(rows[30], "w", Operator(2.0 * rows[30].w.entries))  # scaled: a non-member that keeps Schmidt
     object.__setattr__(rows[31], "w", Operator(np.zeros((split.d2, split.d2), dtype=complex)))  # annihilates
     elems = ElementStack.from_elements(rows)
