@@ -30,17 +30,7 @@ from .frames import (
     swap_operator,
     theta_frame_unitary,
 )
-from .linalg import (
-    DensityOperator,
-    Operator,
-    StateVector,
-    hermitian_eigensystem,
-    kron,
-    partial_trace,
-    permutation_operator,
-    permute_subsystems,
-    tensor_state,
-)
+from .linalg import DensityOperator, Operator, StateVector, kron, permutation_operator
 from .protocols import (
     LambdaEstimate,
     OrderingVerdict,

@@ -74,7 +74,7 @@ def _times_swap(mat: np.ndarray, d: int) -> np.ndarray:
 
 def _factor_action(v: np.ndarray, w: np.ndarray, swaps: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """v Psi w^T for each (d1, d2) amplitude matrix Psi in psi, on Psi^T where `swaps` is set, with v, w and the
-    boolean array swaps broadcast against psi's leading axes: the action of an ElementStack and of one element."""
+    boolean array swaps broadcast against psi's leading axes: the action of a stack, of one element and of the twirl."""
     psi = np.where(swaps, psi.swapaxes(-1, -2), psi) if swaps.any() else psi
     return v @ psi @ w.swapaxes(-1, -2)
 
@@ -236,6 +236,8 @@ def apply_element(elem: MeronomicElement, state: StateVector, split: BipartiteSp
     """Act with a decomposition-preserving element on a composite state."""
     if elem.split != split:
         raise ValueError(f"element acts on {elem.split}, state split is {split}")
+    if state.dim != split.dim:
+        raise ValueError(f"state dim {state.dim} does not match split {split.d1}x{split.d2}")
     return StateVector(elem.act(state.amps))
 
 

@@ -146,9 +146,6 @@ class Operator:
         gram = self.entries.conj().T @ self.entries
         return bool(np.abs(gram - np.eye(self.dim)).max() <= tol)
 
-    def is_hermitian(self, tol: float = TOL_ALGEBRA) -> bool:
-        return bool(np.abs(self.entries - self.entries.conj().T).max() <= tol)
-
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
@@ -174,18 +171,9 @@ class DensityOperator:
     def from_state(cls, state: StateVector) -> "DensityOperator":
         return cls(np.outer(state.amps, state.amps.conj()))
 
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityOperator":
-        return cls(np.eye(dim, dtype=np.complex128) / dim)
-
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-
-def tensor_state(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product of pure states, first factor most significant."""
-    return StateVector(np.kron(a.amps, b.amps))
 
 
 def kron(a: Operator, b: Operator) -> Operator:
@@ -193,65 +181,15 @@ def kron(a: Operator, b: Operator) -> Operator:
     return Operator((a.entries[:, None, :, None] * b.entries[None, :, None, :]).reshape(a.dim * b.dim, -1))
 
 
-def _check_permutation(dims, perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def permutation_operator(dims, perm) -> Operator:
+    """The unitary moving subsystem i (dims in the current order) to slot perm[i], 0-based: |k_0 ... k_{n-1}> goes
+    to the basis vector carrying k_i at slot perm[i], the same transpose on each column of 1."""
     dims = tuple(int(d) for d in dims)
     perm = tuple(int(p) for p in perm)
     if any(d < 1 for d in dims):
         raise ValueError(f"dimensions must be >= 1, got {dims}")
     if sorted(perm) != list(range(len(dims))):
         raise ValueError(f"{perm} is not a permutation of 0..{len(dims) - 1}")
-    return dims, perm
-
-
-def permute_subsystems(state: StateVector, dims, perm) -> StateVector:
-    """Move subsystem i of `state` to slot perm[i].
-
-    `dims` lists the subsystem dimensions in the current order; `perm` is
-    0-based.  The amplitude of |k_0 ... k_{n-1}> in the input becomes the
-    amplitude of the basis vector carrying k_i at slot perm[i] in the output.
-    """
-    dims, perm = _check_permutation(dims, perm)
-    if int(np.prod(dims)) != state.dim:
-        raise ValueError(f"dims {dims} do not factor a dim-{state.dim} state")
-    tensor = state.amps.reshape(dims)
-    # output axis j holds the input axis that maps to j, i.e. the inverse permutation
-    inverse = np.argsort(perm)
-    return StateVector(np.ascontiguousarray(tensor.transpose(inverse)).reshape(-1))
-
-
-def permutation_operator(dims, perm) -> Operator:
-    """The unitary matrix implementing permute_subsystems(state, dims, perm): the same transpose on each column of 1."""
-    dims, perm = _check_permutation(dims, perm)
     total = int(np.prod(dims))
     columns = np.eye(total, dtype=np.complex128).reshape(*dims, total)
     return Operator(columns.transpose(*np.argsort(perm), len(dims)).reshape(total, total))
-
-
-def partial_trace(rho: DensityOperator, split: BipartiteSplit, keep: int) -> DensityOperator:
-    """Trace out one side of a bipartite density operator.
-
-    keep=0 keeps the first (most significant) subsystem, keep=1 the second.
-    """
-    if rho.dim != split.dim:
-        raise ValueError(f"operator dim {rho.dim} does not match split {split.d1}x{split.d2}")
-    blocks = rho.entries.reshape(split.d1, split.d2, split.d1, split.d2)
-    if keep == 0:
-        reduced = np.einsum("ijkj->ik", blocks)
-    elif keep == 1:
-        reduced = np.einsum("ijil->jl", blocks)
-    else:
-        raise ValueError(f"keep must be 0 or 1, got {keep}")
-    return DensityOperator(reduced)
-
-
-def hermitian_eigensystem(op: Operator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (real, descending) and matching orthonormal eigenvector columns.
-
-    The input must be Hermitian within TOL_EIGEN.  Each eigenvector's phase
-    is pinned by phase_fix, which keeps the output reproducible across runs.
-    """
-    if not op.is_hermitian(TOL_EIGEN):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    herm = (op.entries + op.entries.conj().T) / 2.0
-    values, vectors = np.linalg.eigh(herm)
-    return values[::-1], phase_fix(vectors[:, ::-1])[0]  # eigh sorts ascending

@@ -18,7 +18,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .frames import ElementStack, MeronomicElement
+from .frames import ElementStack, MeronomicElement, _factor_action
 from .linalg import BipartiteSplit, DensityOperator, Operator, StateVector
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -148,13 +148,12 @@ def random_m_element(split: BipartiteSplit, rng: np.random.Generator) -> Meronom
 
 def _factor_products(v: np.ndarray, c: np.ndarray, w: np.ndarray, swaps: np.ndarray | None) -> np.ndarray:
     """Rows vec(v c w^T), shape (count, d1*d2), for stacks v, w and a d1 x d2 c, with c^T in place of c where
-    `swaps` is set (None sets none).  Up to _SMALL_DIM one GEMM of c^T, and of c when a sample swaps, with v's
-    sample planes gives the planes of v c (selected per sample against v c^T); one einsum then takes in w."""
+    `swaps` is set (None sets none): an ElementStack's factor action above _SMALL_DIM.  Up to it one GEMM of c^T, and
+    of c when a sample swaps, with v's sample planes gives v c^T planes (v c where it swaps); an einsum takes in w."""
     count, d1, d2 = len(v), v.shape[1], w.shape[1]
     flip = swaps is not None and swaps.any()
     if max(d1, d2) > _SMALL_DIM:
-        c = np.where(swaps[:, None, None], c.T, c) if flip else c
-        return (v @ c @ w.transpose(0, 2, 1)).reshape(count, d1 * d2)
+        return _factor_action(v, w, swaps[:, None, None] if flip else np.bool_(False), c).reshape(count, d1 * d2)
     planes = v.T.reshape(d1, d1 * count)  # v.T[i, a] = v[:, a, i]: column i of v, one sample vector per row
     y = ((np.concatenate((c, c.T)) if flip else c.T) @ planes).reshape(-1, d2, d1, count)
     y = np.where(swaps, *y) if flip else y[0]  # planes of v c^T, then of v c

@@ -215,12 +215,6 @@ def _stacked_draws(split: BipartiteSplit, trials: int, elements, draw_probes, ch
         yield from zip(check(elems, probes), probes, map(Operator, candidates))
 
 
-def _element_verdicts(elems: ElementStack, probes: np.ndarray) -> list[Verdict]:
-    """Per row: the Schmidt verdict where it failed, else the membership verdict."""
-    schmidt, member = schmidt_preservation_check(elems, probes), member_recognition_check(elems)
-    return [first if not first.passed else second for first, second in zip(schmidt, member)]
-
-
 def check_theorem1_suite(
     trials: int, rng: np.random.Generator, elements: Optional[Sequence[MeronomicElement]] = None
 ) -> Verdict:
@@ -240,7 +234,11 @@ def check_theorem1_suite(
     splits = dict.fromkeys(e.split for e in elements[:trials]) if elements else (_S22, BipartiteSplit(2, 3))
     # One lazy stream per split, so trials still run in order, and 2x2 before 2x3 within one.
     probes = lambda n, split: random_states((split.dim,), n, rng)
-    draws = {s: _stacked_draws(s, trials, elements, probes, _element_verdicts, rng) for s in splits}
+    check = lambda elems, states: [  # per row: the Schmidt verdict where it failed, else the membership verdict
+        second if first.passed else first
+        for first, second in zip(schmidt_preservation_check(elems, states), member_recognition_check(elems))
+    ]
+    draws = {s: _stacked_draws(s, trials, elements, probes, check, rng) for s in splits}
     for t in range(trials):
         for split in (elements[t % len(elements)].split,) if elements else splits:
             verdict, _, candidate = next(draws[split])

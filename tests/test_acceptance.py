@@ -26,7 +26,6 @@ from meronome.linalg import (
     DensityOperator,
     Operator,
     StateVector,
-    partial_trace,
 )
 from meronome.protocols import (
     OrderingVerdict,
@@ -99,8 +98,8 @@ def test_02_theta_frame_family():
             params = schmidt_decompose(state, S22).params
             lam = (1 + abs(math.cos(theta / 2))) / 2
             assert np.abs(params - np.array([lam, 1 - lam])).max() < 1e-9
-            reduced = partial_trace(DensityOperator.from_state(state), S22, keep=0)
-            oracle = np.sort(np.linalg.eigvalsh(reduced.entries))[::-1]
+            amps = state.amps.reshape(2, 2)  # reduced state of the first qubit: Psi Psi^dag
+            oracle = np.sort(np.linalg.eigvalsh(amps @ amps.conj().T))[::-1]
             assert np.abs(params - oracle).max() < 1e-9
 
 

@@ -1,6 +1,9 @@
+import importlib
+import importlib.util
 import io
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -424,3 +427,21 @@ def test_unknown_command_exits_2(capsys):
 def test_help_exits_0(capsys):
     assert cli.run(["--help"]) == 0
     assert "meronome" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------- benchmark harness
+
+def test_every_perfbench_target_exists():
+    """perfbench/tracer.py wraps each TARGETS entry by name, so each must resolve to an attribute of its module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module_name, attr_path, _, _ in tracer.TARGETS:
+        try:
+            operator.attrgetter(attr_path)(importlib.import_module(f"meronome.{module_name}"))
+        except AttributeError:
+            missing.append(f"meronome.{module_name}.{attr_path}")
+    assert tracer.TARGETS
+    assert not missing, missing

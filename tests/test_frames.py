@@ -25,11 +25,9 @@ from meronome.frames import (
 )
 from meronome.linalg import (
     BipartiteSplit,
-    DensityOperator,
     Operator,
     StateVector,
     distance_up_to_phase,
-    partial_trace,
     phase_fix,
 )
 from meronome.sampling import (
@@ -68,8 +66,8 @@ def test_schmidt_params_bell():
 
 
 def _reduced_eigenvalues(state: StateVector, split: BipartiteSplit) -> np.ndarray:
-    rho = partial_trace(DensityOperator.from_state(state), split, keep=0)
-    return np.sort(np.linalg.eigvalsh(rho.entries))[::-1]
+    amps = state.amps.reshape(split.d1, split.d2)  # the first factor's reduced state is Psi Psi^dag
+    return np.sort(np.linalg.eigvalsh(amps @ amps.conj().T))[::-1]
 
 
 @pytest.mark.parametrize("theta", [np.pi / 4, np.pi / 2, 0.9, 2.5])
@@ -246,6 +244,13 @@ def test_apply_element_split_mismatch():
     elem = MeronomicElement.identity(S22)
     with pytest.raises(ValueError):
         apply_element(elem, random_state(6, seeded(0)), BipartiteSplit(2, 3))
+
+
+def test_apply_element_rejects_wrong_state_dim_at_the_boundary():
+    elem, state = MeronomicElement.identity(S22), random_state(6, seeded(0))
+    for call in (lambda: apply_element(elem, state, S22), lambda: schmidt_decompose(state, S22)):
+        with pytest.raises(ValueError, match=r"^state dim 6 does not match split 2x2$"):
+            call()
 
 
 # ---------------------------------------------------------------- worked frames

@@ -423,7 +423,7 @@ def test_twirl_reproducible():
 
 
 def test_twirl_fixes_maximally_mixed():
-    rho = DensityOperator.maximally_mixed(4)
+    rho = DensityOperator(np.eye(4) / 4)
     est = twirl_monte_carlo(rho, S22, 64, seeded(2))
     assert np.abs(est - rho.entries).max() < 1e-10
 
@@ -548,7 +548,7 @@ def test_twirl_memory_is_about_one_chunk():
 
 
 def test_twirl_validation():
-    rho = DensityOperator.maximally_mixed(4)
+    rho = DensityOperator(np.eye(4) / 4)
     with pytest.raises(ValueError):
         twirl_monte_carlo(rho, S23, 10, seeded(0))
     with pytest.raises(ValueError, match="does not match split 2x3"):
