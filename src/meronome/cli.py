@@ -125,8 +125,7 @@ def _cmd_frame(args):
             raise ValueError("frame theta requires --theta")
         u = frames.theta_frame_unitary(args.theta)
         result = {"kind": "theta", "theta": args.theta}
-    defect = float(np.abs(u.dag().entries @ u.entries - np.eye(u.dim)).max())
-    result.update({"unitary": u.entries, "unitary_defect": defect})
+    result.update({"unitary": u.entries, "unitary_defect": linalg.unitary_defect(u.entries)})
     return result, False
 
 

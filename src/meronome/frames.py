@@ -32,6 +32,7 @@ from .linalg import (
     kron,
     permutation_operator,
     phase_fix,
+    unitary_defect,
 )
 
 _SIGMA = {
@@ -74,7 +75,7 @@ def _times_swap(mat: np.ndarray, d: int) -> np.ndarray:
 
 def _factor_action(v: np.ndarray, w: np.ndarray, swaps: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """v Psi w^T for each (d1, d2) amplitude matrix Psi in psi, on Psi^T where `swaps` is set, with v, w and the
-    boolean array swaps broadcast against psi's leading axes: the action of a stack, of one element and of the twirl."""
+    boolean array swaps broadcast against psi's leading axes: the action of a stack and of the twirl."""
     psi = np.where(swaps, psi.swapaxes(-1, -2), psi) if swaps.any() else psi
     return v @ psi @ w.swapaxes(-1, -2)
 
@@ -98,7 +99,7 @@ class ElementStack:
             raise ValueError(f"expected shapes (n, d1, d1), (n, d2, d2), (n,), got {v.shape}, {w.shape}, {swaps.shape}")
         square = v.shape[1:] == w.shape[1:]
         for f in (np.concatenate((v, w)),) if square else (v, w):  # one Gram product per factor size
-            if not np.abs(f.conj().swapaxes(1, 2) @ f - np.eye(f.shape[1])).max(initial=0.0) <= TOL_ALGEBRA:
+            if not unitary_defect(f) <= TOL_ALGEBRA:
                 raise ValueError("factors of a meronomic element must be unitary")
         if not square and swaps.any():
             raise ValueError("factor swap requires equal subsystem dimensions")
@@ -137,7 +138,8 @@ class ElementStack:
 
 @dataclass(frozen=True, eq=False)
 class MeronomicElement:
-    """One decomposition-preserving unitary: (v (x) w) then optionally the factor swap, a checked count-1 ElementStack.
+    """One decomposition-preserving unitary: (v (x) w) then optionally the factor swap, a record checked as a count-1
+    ElementStack.  apply_element and to_operator act as row 0 of its one-row stack.
 
     The swap flag is only meaningful for equal factor dimensions.
     """
@@ -157,13 +159,8 @@ class MeronomicElement:
     def split(self) -> BipartiteSplit:
         return BipartiteSplit(self.v.dim, self.w.dim)
 
-    def act(self, amps: np.ndarray) -> np.ndarray:
-        """Raw amplitudes of (v (x) w) * swap applied to the state `amps`, as ElementStack.act does per row."""
-        psi = amps.reshape(self.v.dim, self.w.dim)
-        return _factor_action(self.v.entries, self.w.entries, np.bool_(self.swap), psi).reshape(-1)
-
     def to_operator(self) -> Operator:
-        """The full matrix (v (x) w) * swap, as ElementStack.operators builds it per row."""
+        """The full matrix (v (x) w) * swap: row 0 of the element's one-row stack."""
         return Operator(ElementStack.from_elements([self]).operators()[0])
 
 
@@ -233,12 +230,12 @@ def classify(state: StateVector, split: BipartiteSplit, tol: float = TOL_ALGEBRA
 
 
 def apply_element(elem: MeronomicElement, state: StateVector, split: BipartiteSplit) -> StateVector:
-    """Act with a decomposition-preserving element on a composite state."""
+    """Act with a decomposition-preserving element on a composite state: row 0 of the element's one-row stack."""
     if elem.split != split:
         raise ValueError(f"element acts on {elem.split}, state split is {split}")
     if state.dim != split.dim:
         raise ValueError(f"state dim {state.dim} does not match split {split.d1}x{split.d2}")
-    return StateVector(elem.act(state.amps))
+    return StateVector(ElementStack.from_elements([elem]).act(state.amps[None])[0])
 
 
 def bell_frame_unitary() -> Operator:
@@ -337,7 +334,7 @@ def factor_as_local(u: Operator, split: BipartiteSplit, tol: float = TOL_EIGEN) 
     """
     if u.dim != split.dim:
         raise ValueError(f"operator dim {u.dim} does not match split {split.d1}x{split.d2}")
-    if not u.is_unitary(max(tol, TOL_ALGEBRA)):
+    if not unitary_defect(u.entries) <= max(tol, TOL_ALGEBRA):
         raise ValueError("membership test requires a unitary input")
 
     branches = [u.entries, _times_swap(u.entries, split.d1)] if split.d1 == split.d2 else [u.entries]

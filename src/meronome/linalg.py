@@ -56,6 +56,14 @@ def distance_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - phase * b))
 
 
+def unitary_defect(mats: np.ndarray) -> float:
+    """Largest |M^dag M - 1| entry over one matrix or a stack of them: 0.0 for an empty stack, and inf, with no
+    warning, where an entry is non-finite or the Gram product overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.abs(mats.conj().swapaxes(-1, -2) @ mats - np.eye(mats.shape[-1])).max(initial=0.0)
+    return math.inf if math.isnan(defect) else float(defect)
+
+
 @dataclass(frozen=True)
 class BipartiteSplit:
     """A fixed factorization dim = d1 * d2 of a composite system."""
@@ -132,19 +140,12 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def dag(self) -> "Operator":
-        return Operator(self.entries.conj().T)
-
     def __matmul__(self, other: "Operator") -> "Operator":
         return Operator(self.entries @ other.entries)
 
     def apply(self, state: StateVector) -> StateVector:
         """Apply to a state. Intended for isometries; the result must stay normalized."""
         return StateVector(self.entries @ state.amps)
-
-    def is_unitary(self, tol: float = TOL_ALGEBRA) -> bool:
-        gram = self.entries.conj().T @ self.entries
-        return bool(np.abs(gram - np.eye(self.dim)).max() <= tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,10 +167,6 @@ class DensityOperator:
         if low < -TOL_ALGEBRA:
             raise ValueError(f"density operator has negative eigenvalue {low!r}")
         object.__setattr__(self, "entries", arr)
-
-    @classmethod
-    def from_state(cls, state: StateVector) -> "DensityOperator":
-        return cls(np.outer(state.amps, state.amps.conj()))
 
     @property
     def dim(self) -> int:

@@ -41,7 +41,7 @@ PROBES = 20  # probes per non-member check: one random probe already exposes a H
 _STACK = 64  # trials per stacked draw: amortizes numpy's per-call cost; larger stacks raise peak memory
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Verdict:
     """Outcome of a verification check; a failing one carries the exhibit."""
 

@@ -29,6 +29,7 @@ from meronome.linalg import (
     StateVector,
     distance_up_to_phase,
     phase_fix,
+    unitary_defect,
 )
 from meronome.sampling import (
     haar_unitary,
@@ -174,7 +175,6 @@ def test_factored_action_matches_dense_matrix(d1, d2):
         swaps.add(elem.swap)
         state = random_state(split.dim, rng)
         dense = elem.to_operator().entries @ state.amps
-        assert_allclose(elem.act(state.amps), dense, atol=1e-13)
         assert_allclose(apply_element(elem, state, split).amps, dense, atol=1e-13)
     assert swaps == ({False, True} if d1 == d2 else {False})
 
@@ -202,10 +202,11 @@ def test_singlet_is_isotropic():
 def test_element_stack_validation():
     v, w = haar_unitary_batch(2, 3, seeded(0)), haar_unitary_batch(3, 3, seeded(1))
     ElementStack(v, w, np.zeros(3, dtype=bool))
-    scaled, nan = v.copy(), v.copy()
+    scaled, nan, inf = v.copy(), v.copy(), v.copy()
     scaled[1] *= 1 + 1e-9
     nan[2, 0, 0] = np.nan
-    for bad in (scaled, nan):
+    inf[0, 1, 0] = np.inf
+    for bad in (scaled, nan, inf):
         with pytest.raises(ValueError, match="factors of a meronomic element must be unitary"):
             ElementStack(bad, w, np.zeros(3, dtype=bool))
     with pytest.raises(ValueError, match="factor swap requires equal subsystem dimensions"):
@@ -232,7 +233,7 @@ def test_element_stack_rows_are_its_count1_views(d1, d2):
     for elem, amp, image, mat in zip(rows, amps, images, mats):
         assert elem.split == split
         for probe, moved in zip(amp, image):
-            assert np.array_equal(elem.act(probe), moved)  # bitwise
+            assert np.array_equal(apply_element(elem, StateVector(probe), split).amps, moved)  # bitwise
         assert np.array_equal(elem.to_operator().entries, mat)
         assert_allclose(mat @ amp.T, image.T, atol=1e-13)
     restacked = ElementStack.from_elements(rows)
@@ -257,7 +258,7 @@ def test_apply_element_rejects_wrong_state_dim_at_the_boundary():
 
 def test_bell_frame_unitary_is_unitary():
     u = bell_frame_unitary()
-    assert np.abs(u.dag().entries @ u.entries - np.eye(4)).max() < 1e-12
+    assert unitary_defect(u.entries) < 1e-12
 
 
 def test_bell_frame_maps_bells_to_basis():
@@ -419,8 +420,9 @@ def test_factor_rejects_bell_frame_change():
 
 
 def test_factor_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        factor_as_local(Operator(np.diag([1.0, 1.0, 1.0, 0.5]).astype(complex)), S22)
+    for bad in (0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^membership test requires a unitary input$"):
+            factor_as_local(Operator(np.diag([1.0, 1.0, 1.0, bad]).astype(complex)), S22)
 
 
 def test_factor_rejects_dim_mismatch():

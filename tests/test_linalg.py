@@ -14,8 +14,9 @@ from meronome.linalg import (
     kron,
     permutation_operator,
     phase_fix,
+    unitary_defect,
 )
-from meronome.sampling import haar_unitary, random_state, seeded
+from meronome.sampling import haar_unitary, haar_unitary_batch, random_state, seeded
 
 ISQ2 = 1.0 / np.sqrt(2.0)
 
@@ -206,6 +207,17 @@ def test_operator_apply_rejects_norm_breaking():
     squish = Operator(np.diag([1.0, 0.5]).astype(complex))
     with pytest.raises(ValueError):
         squish.apply(_state([ISQ2, ISQ2]))
+
+
+def test_unitary_defect_over_one_matrix_and_stacks():
+    stack = haar_unitary_batch(3, 5, seeded(7))
+    assert unitary_defect(stack) < 1e-13 and unitary_defect(stack[2]) < 1e-13
+    assert unitary_defect(np.zeros((0, 3, 3), dtype=complex)) == 0.0
+    stack[4] *= 1.5  # Gram entries 2.25 on the diagonal
+    assert unitary_defect(stack) == pytest.approx(1.25, abs=1e-13)
+    for bad in (np.nan, np.inf, 1e200):  # 1e200 overflows the Gram product
+        stack[1, 0, 0] = bad
+        assert unitary_defect(stack) == np.inf
 
 
 def test_distance_up_to_phase_ignores_global_phase():

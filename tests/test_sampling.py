@@ -32,6 +32,10 @@ S22 = BipartiteSplit(2, 2)
 S23 = BipartiteSplit(2, 3)
 
 
+def _rho(state: StateVector) -> DensityOperator:
+    return DensityOperator(np.outer(state.amps, state.amps.conj()))  # |psi><psi|
+
+
 # ---------------------------------------------------------------- streams
 
 def test_stream_same_seed_same_bits():
@@ -71,7 +75,7 @@ def test_spawn_prefix_identity():
         assert np.array_equal(short.random(8), long.random(8))
     # samples 2 over workers 5: shares [1, 1] on the first two children, and nothing drawn from the rest
     streams, oracles = seeded(3).spawn(5), seeded(3).spawn(5)
-    twirl_monte_carlo(DensityOperator.from_state(StateVector.basis(4, 0)), S22, 2, streams)
+    twirl_monte_carlo(_rho(StateVector.basis(4, 0)), S22, 2, streams)
     for share, stream, oracle in zip([1, 1, 0, 0, 0], streams, oracles, strict=True):
         list(sample_m_chunks(S22, share, oracle))
         assert stream.random() == oracle.random()
@@ -338,7 +342,7 @@ def test_m_element_preserves_schmidt():
 # ---------------------------------------------------------------- twirling
 
 def test_twirl_single_sample_matches_manual():
-    rho = DensityOperator.from_state(StateVector.basis(4, 0))
+    rho = _rho(StateVector.basis(4, 0))
     seed = 77
     est = twirl_monte_carlo(rho, S22, 1, seeded(seed))
     elem = random_m_element(S22, seeded(seed))
@@ -382,7 +386,7 @@ def test_twirl_pure_state_matches_its_density_operator(split, workers):
     def estimate(rho):
         return twirl_monte_carlo(rho, split, 500, seeded(11) if workers == 1 else seeded(11).spawn(workers))
 
-    assert np.abs(estimate(psi) - estimate(DensityOperator.from_state(psi))).max() <= 1e-15
+    assert np.abs(estimate(psi) - estimate(_rho(psi))).max() <= 1e-15
 
 
 _CONTRACTION_SPLITS = {"2x2": S22, "2x3": S23, "3x3": BipartiteSplit(3, 3), "2x4": BipartiteSplit(2, 4), "4x4": BipartiteSplit(4, 4)}
@@ -416,7 +420,7 @@ def test_factor_products_match_matmul(split):
 
 
 def test_twirl_reproducible():
-    rho = DensityOperator.from_state(random_state(4, seeded(1)))
+    rho = _rho(random_state(4, seeded(1)))
     a = twirl_monte_carlo(rho, S22, 500, seeded(9))
     b = twirl_monte_carlo(rho, S22, 500, seeded(9))
     assert np.array_equal(a, b)
@@ -430,7 +434,7 @@ def test_twirl_fixes_maximally_mixed():
 
 def test_twirl_converges_to_maximally_mixed():
     phi_plus = StateVector.normalized(np.array([1, 0, 0, 1], dtype=complex))
-    rho = DensityOperator.from_state(phi_plus)
+    rho = _rho(phi_plus)
     target = np.eye(4) / 4
 
     def dist(n, seed):
@@ -456,7 +460,7 @@ def _per_shard_merge(rho: DensityOperator, split: BipartiteSplit, samples: int, 
 @pytest.mark.parametrize("split", [S22, BipartiteSplit(3, 3)], ids=["2x2", "3x3"])
 @pytest.mark.parametrize("samples, workers", [(3, 5), (7, 3), (1000, 4), (2000, 2)])
 def test_twirl_over_streams_matches_per_shard_merge(split, samples, workers):
-    rho = DensityOperator.from_state(random_state(split.dim, seeded(samples)))
+    rho = _rho(random_state(split.dim, seeded(samples)))
     est = twirl_monte_carlo(rho, split, samples, seeded(6).spawn(min(workers, samples)))
     assert np.abs(est - _per_shard_merge(rho, split, samples, workers, 6)).max() <= 1e-15
 
@@ -512,14 +516,14 @@ def test_twirl_gathers_shares_shorter_than_d(split, samples, workers, rank):
     assert np.abs(est - reference / samples).max() < 1e-13
 
 def test_twirl_one_stream_in_a_sequence_is_the_bare_stream():
-    rho = DensityOperator.from_state(random_state(6, seeded(4)))
+    rho = _rho(random_state(6, seeded(4)))
     bare = twirl_monte_carlo(rho, S23, 5000, seeded(8))
     assert np.array_equal(twirl_monte_carlo(rho, S23, 5000, [seeded(8)]), bare)
 
 
 def test_twirl_factors_rho_once_over_streams(monkeypatch):
     psi = random_state(9, seeded(4))
-    rho = DensityOperator.from_state(psi)
+    rho = _rho(psi)
     calls = []
     for name in ("eigh", "eigvalsh"):
         solve = getattr(np.linalg, name)

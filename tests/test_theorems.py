@@ -69,6 +69,13 @@ def test_verdict_witness_discipline():
         Verdict(False, "broken")
 
 
+def test_verdict_compares_and_hashes_by_identity():
+    # a witness is an array, so field-wise equality would ask numpy for the truth value of an array
+    verdict, twin = Verdict(False, "broken", witness=np.zeros(4)), Verdict(False, "broken", witness=np.zeros(4))
+    assert verdict == verdict and verdict != twin
+    assert len({verdict, twin, verdict}) == 2
+
+
 # ---------------------------------------------------------------- relative unitary
 
 def test_relative_unitary_pauli_cases():
