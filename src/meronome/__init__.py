@@ -48,15 +48,7 @@ from .protocols import (
     sym_span_analysis,
     tau_states,
 )
-from .sampling import (
-    haar_unitary,
-    random_m_element,
-    random_maxent_state,
-    random_product_state,
-    random_state,
-    seeded,
-    twirl_monte_carlo,
-)
+from .sampling import random_m_element, random_maxent_state, random_state, seeded, twirl_monte_carlo
 from .theorems import (
     Verdict,
     check_lemma_antihermitian,

@@ -148,10 +148,7 @@ def _cmd_pauli_table(args):
 def _cmd_twirl(args):
     split = _parse_split(args.split)
     psi = linalg.StateVector(np.eye(split.d1, split.d2).reshape(-1) / math.sqrt(min(split.d1, split.d2)))
-    rng = sampling.seeded(args.seed)
-    # spawn(k) gives the first k children of spawn(workers): streams past the sample count would draw nothing
-    streams = rng if args.workers == 1 else rng.spawn(min(args.workers, args.samples))
-    est = sampling.twirl_monte_carlo(psi, split, args.samples, streams)
+    est = sampling.twirl_monte_carlo(psi, split, args.samples, sampling.seeded(args.seed), args.workers)
     est.flat[:: split.dim + 1] -= 1.0 / split.dim  # the exact twirl of every input is the maximally mixed 1/D
     return {
         "samples": args.samples,

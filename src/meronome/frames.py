@@ -123,9 +123,12 @@ class ElementStack:
         return BipartiteSplit(self.v.shape[1], self.w.shape[1])
 
     def act(self, amps: np.ndarray) -> np.ndarray:
-        """Raw amplitudes of row i applied to amps[i], of shape (..., d1*d2), through the factors: with Psi a state's
-        amplitudes reshaped to (d1, d2), the swap is Psi^T and v (x) w is v Psi w^T.  Nothing is renormalized."""
-        psi = amps.reshape(*amps.shape[:-1], self.v.shape[1], self.w.shape[1])
+        """Raw amplitudes of row i applied to amps[i], for amps of shape (n, ..., d1*d2), through the factors: with Psi
+        a state's amplitudes as (d1, d2), the swap is Psi^T and v (x) w is v Psi w^T.  Nothing is renormalized."""
+        (n, d1, _), d2 = self.v.shape, self.w.shape[1]
+        if amps.ndim < 2 or amps.shape[0] != n or amps.shape[-1] != d1 * d2:
+            raise ValueError(f"a stack of {n} on {d1}x{d2} acts on amplitudes ({n}, ..., {d1 * d2}), got {amps.shape}")
+        psi = amps.reshape(*amps.shape[:-1], d1, d2)
         row = (slice(None),) + (None,) * (psi.ndim - 3)  # element i broadcast over the extra axes of amps[i]
         return _factor_action(self.v[row], self.w[row], self.swaps[row + (None, None)], psi).reshape(amps.shape)
 

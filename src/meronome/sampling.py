@@ -2,11 +2,11 @@
 
 Every sampler draws from a numpy Generator made by seeded(), which fixes the
 counter-based Philox bit generator.  A given seed fixes every draw bit for
-bit.  Only `twirl --workers` runs over several streams: the CLI spawns them
-with Generator.spawn, and twirl_monte_carlo splits the samples over them, so
-its output is fixed by (seed, workers), and every other experiment's by the
-seed alone.  Each distribution has one stacked sampler here; the per-object
-samplers are its count-1 views, and no other module draws Gaussians or swap
+bit.  Only `twirl --workers` runs over several streams: twirl_monte_carlo
+spawns them with Generator.spawn and splits the samples over them, so its
+output is fixed by (seed, workers), and every other experiment's by the seed
+alone.  Each distribution has one stacked sampler here; the count-1 views the
+package calls sit beside it, and no other module draws Gaussians or swap
 bits.  A maximally entangled state costs one Haar draw.  The twirl moves
 rho's d1 x d2 factors and returns a plain array; its exact value is 1/D.
 """
@@ -14,7 +14,6 @@ rho's d1 x d2 factors and returns a plain array; its exact value is 1/D.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -76,11 +75,6 @@ def haar_unitary_batch(dim: int, count: int, rng: np.random.Generator) -> np.nda
     return planes.T
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> Operator:
-    """One Haar-distributed unitary."""
-    return Operator(haar_unitary_batch(dim, 1, rng)[0])
-
-
 def random_states(dims: tuple, count: int, rng: np.random.Generator) -> np.ndarray:
     """`count` Haar-random pure states on C^d for dims (d,), or product states on C^(d1*d2) for (d1, d2), as
     rows: normalized complex Gaussian vectors (for a product, the normalized product of two)."""
@@ -94,11 +88,6 @@ def random_states(dims: tuple, count: int, rng: np.random.Generator) -> np.ndarr
 def random_state(dim: int, rng: np.random.Generator) -> StateVector:
     """Haar-distributed pure state: the count-1 view of random_states."""
     return StateVector(random_states((dim,), 1, rng)[0])
-
-
-def random_product_state(split: BipartiteSplit, rng: np.random.Generator) -> StateVector:
-    """Tensor product of independent Haar-distributed factor states: the count-1 view of random_states."""
-    return StateVector(random_states((split.d1, split.d2), 1, rng)[0])
 
 
 def random_maxent_states(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -121,6 +110,7 @@ def sample_m_chunks(split: BipartiteSplit, n: int, rng: np.random.Generator):
     Each batch draws all v, then all w, then swap bits, and only when requested,
     so what a caller draws between batches sits between them in the stream.
     """
+    _check_stack(split.d1, n)
     for start in range(0, n, _CHUNK):
         m = min(_CHUNK, n - start)
         v = haar_unitary_batch(split.d1, m, rng)
@@ -161,16 +151,15 @@ def _factor_products(v: np.ndarray, c: np.ndarray, w: np.ndarray, swaps: np.ndar
 
 
 def twirl_monte_carlo(
-    rho: StateVector | DensityOperator, split: BipartiteSplit, n: int,
-    rng: np.random.Generator | Sequence[np.random.Generator],
+    rho: StateVector | DensityOperator, split: BipartiteSplit, n: int, rng: np.random.Generator, workers: int = 1
 ) -> np.ndarray:
     """Monte Carlo estimate of the group twirl of rho from n random elements, as a unit-trace D x D array.
 
     Each element maps the factors c_k of rho = sum_k c_k c_k^dag to v c_k w^T, or v c_k^T w^T when swapped: a
     pure state's amplitude matrix is its one factor, and a DensityOperator, the only mixed input, is factored by
-    eigh (eigenvalues above roundoff).  `rng` is one stream or a non-empty sequence of them (the CLI spawns those
-    of `twirl --workers`); stream i draws base + (i < extra) samples, base, extra = divmod(n, len(rng)), in order
-    and in fixed chunks, all into one accumulator, so the result is a reproducible function of the streams.  A
+    eigh (eigenvalues above roundoff).  One worker draws from rng itself; workers > 1 draw from the streams
+    rng.spawn(min(workers, n)), and stream i draws base + (i < extra) samples, base, extra = divmod(n, streams),
+    in order and in fixed chunks, all into one accumulator, so the result is fixed by (rng, workers).  A
     chunk's rows vec(v c w^T) of D or more go in as one product; shorter ones (small shares, the last chunk) are
     gathered until they total D rows, so many tiny shares cost about one D x D product, not one each.  The sum
     is symmetrized and scaled in place; positive semidefinite by construction, it is returned unvalidated.
@@ -179,9 +168,10 @@ def twirl_monte_carlo(
         raise ValueError(f"rho dim {rho.dim} does not match split {split.d1}x{split.d2}")
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
-    streams = [rng] if isinstance(rng, np.random.Generator) else list(rng)
-    if not streams:
-        raise ValueError("need at least one random stream, got an empty sequence")
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
+    # spawn(k) gives the first k children of spawn(workers): streams past the sample count would draw nothing
+    streams = rng.spawn(min(workers, n)) if workers > 1 else [rng]
     base, extra = divmod(n, len(streams))
     if isinstance(rho, StateVector):
         c_mats = rho.amps.reshape(1, split.d1, split.d2)

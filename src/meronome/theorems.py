@@ -138,7 +138,7 @@ def _schmidt_drifts(elems: ElementStack, states: np.ndarray) -> tuple[np.ndarray
     squared norm) and whether the image was annihilated; from one SVD over all probes and images."""
     for row in np.flatnonzero(~(np.abs(np.linalg.norm(states, axis=1) - 1.0) <= TOL_ALGEBRA)):
         StateVector(states[row])  # raises the per-state message for a probe that is not a unit vector
-    pairs = np.concatenate((states, elems.act(states))).reshape(2 * len(states), elems.split.d1, -1)
+    pairs = np.concatenate((states, elems.act(states))).reshape(2 * len(states), elems.split.d1, elems.split.d2)
     before, after = np.split(np.linalg.svd(pairs, compute_uv=False) ** 2, 2)
     norms = after.sum(axis=1)
     gone = norms < 1e-24

@@ -32,11 +32,9 @@ from meronome.linalg import (
     unitary_defect,
 )
 from meronome.sampling import (
-    haar_unitary,
     haar_unitary_batch,
     random_m_element,
     random_m_elements,
-    random_product_state,
     random_state,
     random_states,
     seeded,
@@ -183,7 +181,7 @@ def test_factored_action_matches_dense_matrix(d1, d2):
 def test_swapped_operator_is_kron_times_swap_matrix(d):
     rng = seeded(d)
     for _ in range(20):
-        elem = MeronomicElement(haar_unitary(d, rng), haar_unitary(d, rng), swap=True)
+        elem = MeronomicElement(*map(Operator, haar_unitary_batch(d, 2, rng)), swap=True)
         expected = np.kron(elem.v.entries, elem.w.entries) @ swap_operator(d).entries
         np.testing.assert_array_equal(elem.to_operator().entries, expected)
 
@@ -193,7 +191,7 @@ def test_singlet_is_isotropic():
     rng = seeded(4)
     singlet = StateVector(BELLS["psi-"])
     for _ in range(100):
-        v = haar_unitary(2, rng)
+        v = Operator(haar_unitary_batch(2, 1, rng)[0])
         elem = MeronomicElement(v, v)
         moved = apply_element(elem, singlet, S22)
         assert abs(abs(singlet.overlap(moved)) - 1.0) < 1e-10
@@ -239,6 +237,17 @@ def test_element_stack_rows_are_its_count1_views(d1, d2):
     restacked = ElementStack.from_elements(rows)
     for name in ("v", "w", "swaps"):
         assert np.array_equal(getattr(restacked, name), getattr(stack, name))
+
+
+def test_element_stack_act_takes_one_state_row_per_element():
+    # a one-row stack does not broadcast over several states, and no shape reaches numpy's reshape errors
+    one, three = random_m_elements(S22, 1, seeded(0)), random_m_elements(BipartiteSplit(2, 3), 3, seeded(1))
+    cases = [(one, (3, 4)), (three, (1, 6)), (three, (2, 6)), (three, (3, 4)), (three, (6,)), (three, (3, 2, 3))]
+    for stack, shape in cases:
+        n, split = len(stack.swaps), stack.split
+        expected = f"a stack of {n} on {split.d1}x{split.d2} acts on amplitudes ({n}, ..., {split.dim}), got {shape}"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            stack.act(np.zeros(shape, dtype=complex))
 
 
 def test_apply_element_split_mismatch():
@@ -373,7 +382,8 @@ def test_member_verdict_means_residual_within_tol(seed, log_eps, shape, tol):
     # verdict, it must agree with the residual it reports.
     d1, d2, swap = shape
     rng = seeded(seed)
-    elem = MeronomicElement(haar_unitary(d1, rng), haar_unitary(d2, rng), swap)
+    v, w = haar_unitary_batch(d1, 1, rng)[0], haar_unitary_batch(d2, 1, rng)[0]
+    elem = MeronomicElement(Operator(v), Operator(w), swap)
     a = rng.standard_normal((d1 * d2,) * 2) + 1j * rng.standard_normal((d1 * d2,) * 2)
     values, vectors = np.linalg.eigh(a + a.conj().T)
     kick = (vectors * np.exp(1j * 10**log_eps * values)) @ vectors.conj().T
@@ -413,8 +423,8 @@ def test_factor_rejects_bell_frame_change():
     # ... and a short random search also finds one
     rng = seeded(17)
     hits = sum(
-        classify(u.apply(random_product_state(S22, rng)), S22) is not Entanglement.PRODUCT
-        for _ in range(20)
+        classify(u.apply(StateVector(amps)), S22) is not Entanglement.PRODUCT
+        for amps in random_states((2, 2), 20, rng)
     )
     assert hits >= 1
 
@@ -463,10 +473,10 @@ def test_stacked_membership_matches_the_one_matrix_oracle(d1, d2):
     split, rng = BipartiteSplit(d1, d2), seeded(40 + 3 * d1 + d2)
     cases = []
     for _ in range(30):
-        v, w = haar_unitary(d1, rng), haar_unitary(d2, rng)
+        v, w = Operator(haar_unitary_batch(d1, 1, rng)[0]), Operator(haar_unitary_batch(d2, 1, rng)[0])
         for swap in (False, True) if d1 == d2 else (False,):
             cases.append(MeronomicElement(v, w, swap).to_operator().entries)
-        cases.append(haar_unitary(d1 * d2, rng).entries)
+        cases.append(haar_unitary_batch(d1 * d2, 1, rng)[0])
         kick = np.diag(np.exp(1j * 1e-5 * rng.standard_normal(d1 * d2)))  # factors form, residual exceeds tol
         cases.append(cases[-2] @ kick)
     verdicts = set()

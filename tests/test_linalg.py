@@ -16,7 +16,7 @@ from meronome.linalg import (
     phase_fix,
     unitary_defect,
 )
-from meronome.sampling import haar_unitary, haar_unitary_batch, random_state, seeded
+from meronome.sampling import haar_unitary_batch, random_state, seeded
 
 ISQ2 = 1.0 / np.sqrt(2.0)
 
@@ -198,7 +198,7 @@ def test_phase_fix_pins_first_significant_entry_per_column():
 def test_unitary_application_preserves_norm():
     rng = seeded(42)
     for _ in range(100):
-        u = haar_unitary(4, rng)
+        u = Operator(haar_unitary_batch(4, 1, rng)[0])
         state = random_state(4, rng)
         assert abs(np.linalg.norm(u.apply(state).amps) - 1.0) < 1e-10
 

@@ -14,13 +14,11 @@ from meronome.sampling import (
     _CHUNK,
     _SMALL_DIM,
     _factor_products,
-    haar_unitary,
     haar_unitary_batch,
     random_m_element,
     random_m_elements,
     random_maxent_state,
     random_maxent_states,
-    random_product_state,
     random_state,
     random_states,
     sample_m_chunks,
@@ -73,18 +71,15 @@ def test_spawn_prefix_identity():
     full = seeded(3).spawn(5)
     for short, long in zip(prefix, full[:2]):
         assert np.array_equal(short.random(8), long.random(8))
-    # samples 2 over workers 5: shares [1, 1] on the first two children, and nothing drawn from the rest
-    streams, oracles = seeded(3).spawn(5), seeded(3).spawn(5)
-    twirl_monte_carlo(_rho(StateVector.basis(4, 0)), S22, 2, streams)
-    for share, stream, oracle in zip([1, 1, 0, 0, 0], streams, oracles, strict=True):
-        list(sample_m_chunks(S22, share, oracle))
-        assert stream.random() == oracle.random()
+    # samples 2 over workers 5: shares [1, 1] on the first two children, as over workers 2
+    rho = _rho(StateVector.basis(4, 0))
+    assert np.array_equal(twirl_monte_carlo(rho, S22, 2, seeded(3), 5), twirl_monte_carlo(rho, S22, 2, seeded(3), 2))
 
 
 # ---------------------------------------------------------------- Haar sampling
 
 def test_haar_dim1_is_phase():
-    u = haar_unitary(1, seeded(0)).entries
+    u = haar_unitary_batch(1, 1, seeded(0))[0]
     assert u.shape == (1, 1)
     assert abs(abs(u[0, 0]) - 1.0) < 1e-12
 
@@ -92,14 +87,8 @@ def test_haar_dim1_is_phase():
 def test_haar_unitarity():
     rng = seeded(8)
     for _ in range(100):
-        u = haar_unitary(4, rng).entries
+        u = haar_unitary_batch(4, 1, rng)[0]
         assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-10
-
-
-def test_haar_batch_matches_single():
-    batch = haar_unitary_batch(3, 1, seeded(99))[0]
-    single = haar_unitary(3, seeded(99)).entries
-    assert np.array_equal(batch, single)
 
 
 def test_haar_first_moment():
@@ -220,8 +209,8 @@ def test_random_state_normalized():
 def test_random_product_state_is_product():
     rng = seeded(10)
     for split in (S22, S23):
-        for _ in range(25):
-            assert classify(random_product_state(split, rng), split) is Entanglement.PRODUCT
+        for amps in random_states((split.d1, split.d2), 25, rng):
+            assert classify(StateVector(amps), split) is Entanglement.PRODUCT
 
 
 def test_random_maxent_state_is_maxent():
@@ -252,6 +241,15 @@ def test_random_states_validation_matches_haar(dims, dim, count):
         random_states(dims, count, seeded(0))
 
 
+@pytest.mark.parametrize(
+    "draw", [lambda rng: list(sample_m_chunks(S22, -3, rng)), lambda rng: random_m_elements(S23, -3, rng)],
+    ids=["m_chunks", "m_elements"],
+)
+def test_group_samplers_reject_a_negative_count(draw):
+    with pytest.raises(ValueError, match=re.escape("count must be >= 0, got -3")):
+        draw(seeded(0))
+
+
 _AT_COUNT_ZERO = {
     "haar_qr": (lambda rng: haar_unitary_batch(5, 0, rng), (0, 5, 5)),
     "states": (lambda rng: random_states((3,), 0, rng), (0, 3)),
@@ -279,7 +277,6 @@ def _first_row(stack):
 
 _VIEWS = {
     "state": (lambda rng: (random_state(3, rng).amps,), lambda rng: random_states((3,), 1, rng)),
-    "product": (lambda rng: (random_product_state(S23, rng).amps,), lambda rng: random_states((2, 3), 1, rng)),
     "maxent": (lambda rng: (random_maxent_state(3, rng).amps,), lambda rng: random_maxent_states(3, 1, rng)),
     "m_element": (lambda rng: _parts(random_m_element(S22, rng)), lambda rng: _first_row(random_m_elements(S22, 1, rng))),
 }
@@ -296,9 +293,9 @@ def test_count1_view_is_its_stacked_sampler(view, stacked, seed):
 
 
 def test_only_sampling_draws_from_the_stream():
-    # Gaussians and swap bits are laid out in the stream by meronome.sampling alone; the lambda
-    # loop's uniforms and the CLI's worker streams are the only other Generator calls
-    allowed = {"protocols.py": {"random"}, "cli.py": {"spawn"}}
+    # Gaussians, swap bits and twirl's worker streams are laid out in the stream by meronome.sampling
+    # alone; the lambda loop's uniforms are the only other Generator call
+    allowed = {"protocols.py": {"random"}}
     methods = {name for name in dir(np.random.Generator) if not name.startswith("_")}
     calls = []
     for path in sorted(Path(meronome.__file__).parent.glob("*.py")):
@@ -384,7 +381,7 @@ def test_twirl_pure_state_matches_its_density_operator(split, workers):
     psi = random_state(split.dim, seeded(split.dim))
 
     def estimate(rho):
-        return twirl_monte_carlo(rho, split, 500, seeded(11) if workers == 1 else seeded(11).spawn(workers))
+        return twirl_monte_carlo(rho, split, 500, seeded(11), workers)
 
     assert np.abs(estimate(psi) - estimate(_rho(psi))).max() <= 1e-15
 
@@ -461,7 +458,7 @@ def _per_shard_merge(rho: DensityOperator, split: BipartiteSplit, samples: int, 
 @pytest.mark.parametrize("samples, workers", [(3, 5), (7, 3), (1000, 4), (2000, 2)])
 def test_twirl_over_streams_matches_per_shard_merge(split, samples, workers):
     rho = _rho(random_state(split.dim, seeded(samples)))
-    est = twirl_monte_carlo(rho, split, samples, seeded(6).spawn(min(workers, samples)))
+    est = twirl_monte_carlo(rho, split, samples, seeded(6), workers)
     assert np.abs(est - _per_shard_merge(rho, split, samples, workers, 6)).max() <= 1e-15
 
 
@@ -487,12 +484,9 @@ def _per_chunk_twirl(psi: StateVector, split: BipartiteSplit, samples: int, stre
 def test_twirl_shares_of_d_rows_are_one_product_each(split, samples, workers):
     # every chunk here has D = d1*d2 rows or more, so each stays its own product and the bits are the per-chunk ones
     psi = random_state(split.dim, seeded(samples))
-
-    def streams():
-        return seeded(12).spawn(workers) if workers > 1 else [seeded(12)]
-
-    est = twirl_monte_carlo(psi, split, samples, streams())
-    assert np.array_equal(est, _per_chunk_twirl(psi, split, samples, streams()))
+    est = twirl_monte_carlo(psi, split, samples, seeded(12), workers)
+    streams = seeded(12).spawn(workers) if workers > 1 else [seeded(12)]
+    assert np.array_equal(est, _per_chunk_twirl(psi, split, samples, streams))
 
 
 @pytest.mark.parametrize(
@@ -512,13 +506,8 @@ def test_twirl_gathers_shares_shorter_than_d(split, samples, workers, rank):
         (base + (i < extra)) * _dense_twirl(rho, split, base + (i < extra), stream)
         for i, stream in enumerate(seeded(17).spawn(workers))
     )
-    est = twirl_monte_carlo(rho, split, samples, seeded(17).spawn(workers))
+    est = twirl_monte_carlo(rho, split, samples, seeded(17), workers)
     assert np.abs(est - reference / samples).max() < 1e-13
-
-def test_twirl_one_stream_in_a_sequence_is_the_bare_stream():
-    rho = _rho(random_state(6, seeded(4)))
-    bare = twirl_monte_carlo(rho, S23, 5000, seeded(8))
-    assert np.array_equal(twirl_monte_carlo(rho, S23, 5000, [seeded(8)]), bare)
 
 
 def test_twirl_factors_rho_once_over_streams(monkeypatch):
@@ -528,10 +517,10 @@ def test_twirl_factors_rho_once_over_streams(monkeypatch):
     for name in ("eigh", "eigvalsh"):
         solve = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda a, name=name, solve=solve: calls.append((name, a.shape)) or solve(a))
-    twirl_monte_carlo(rho, BipartiteSplit(3, 3), 1000, seeded(0).spawn(4))
+    twirl_monte_carlo(rho, BipartiteSplit(3, 3), 1000, seeded(0), 4)
     assert calls == [("eigh", (9, 9))]
     calls.clear()  # a pure state's amplitude matrix is already its one factor
-    twirl_monte_carlo(psi, BipartiteSplit(3, 3), 1000, seeded(0).spawn(4))
+    twirl_monte_carlo(psi, BipartiteSplit(3, 3), 1000, seeded(0), 4)
     assert calls == []
 
 
@@ -559,5 +548,5 @@ def test_twirl_validation():
         twirl_monte_carlo(StateVector.basis(4, 0), S23, 10, seeded(0))
     with pytest.raises(ValueError):
         twirl_monte_carlo(rho, S22, 0, seeded(0))
-    with pytest.raises(ValueError, match="empty sequence"):
-        twirl_monte_carlo(rho, S22, 10, [])
+    with pytest.raises(ValueError, match="need at least one worker, got 0"):
+        twirl_monte_carlo(rho, S22, 10, seeded(0), 0)

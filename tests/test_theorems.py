@@ -1,3 +1,4 @@
+import re
 from functools import partial
 
 import numpy as np
@@ -16,7 +17,7 @@ from meronome.frames import (
 )
 from meronome.linalg import BipartiteSplit, Operator, StateVector
 from meronome.sampling import (
-    haar_unitary,
+    haar_unitary_batch,
     random_m_element,
     random_m_elements,
     random_maxent_state,
@@ -132,7 +133,7 @@ def test_lemma_hermitian_preconditions():
 
 
 def _traceless_hermitian(rng: np.random.Generator) -> np.ndarray:
-    v = haar_unitary(2, rng).entries
+    v = haar_unitary_batch(2, 1, rng)[0]
     return v @ np.diag([1.0, -1.0]).astype(complex) @ v.conj().T
 
 
@@ -193,6 +194,20 @@ def test_schmidt_preservation_check_rejects_a_probe_off_the_unit_sphere():
     states[1] *= 1.5
     with pytest.raises(ValueError, match="state vector norm is .*, expected 1 within"):
         schmidt_preservation_check(random_m_elements(S22, 3, seeded(0)), states)
+
+
+def test_schmidt_preservation_check_takes_one_probe_per_element():
+    rng = seeded(26)
+    with pytest.raises(ValueError, match=re.escape("a stack of 1 on 2x2 acts on amplitudes (1, ..., 4), got (3, 4)")):
+        schmidt_preservation_check(random_m_elements(S22, 1, rng), random_states((4,), 3, rng))
+
+
+def test_single_checks_of_an_empty_stack_return_no_verdicts():
+    rng = seeded(27)
+    for split in (S22, BipartiteSplit(2, 3)):
+        empty = random_m_elements(split, 0, rng)
+        assert schmidt_preservation_check(empty, random_states((split.dim,), 0, rng)) == []
+        assert member_recognition_check(empty) == []
 
 
 def test_member_recognition_check():
@@ -439,9 +454,9 @@ def test_nonmember_checks_draw_a_fixed_number_of_probes(monkeypatch):
     # a non-member escapes on its first probe, a member on none: both consume the same PROBES probes
     classified = []
     monkeypatch.setattr(theorems, "classify", lambda *args: classified.append(args) or classify(*args))
-    s23 = BipartiteSplit(2, 3)
+    s23, haar = BipartiteSplit(2, 3), Operator(haar_unitary_batch(6, 1, seeded(30))[0])
     runs = [
-        (partial(nonmember_product_check, split=s23), haar_unitary(6, seeded(30)), Operator.identity(6)),
+        (partial(nonmember_product_check, split=s23), haar, Operator.identity(6)),
         (nonmember_maxent_check, bell_frame_unitary(), Operator.identity(4)),
     ]
     for check, escapes_at_once, never_escapes in runs:
