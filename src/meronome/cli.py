@@ -253,7 +253,10 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------- parser
 
 def _finite_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # not a number: the same message as nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
     return value
@@ -266,21 +269,37 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _bounded_integer(minimum: int, maximum: float, text: str) -> int:
-    value = int(text)
-    if value < minimum:
-        raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text}")
-    if value > maximum:
-        raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {text}")
-    return value
+def _integer(minimum: int, maximum: float = math.inf):
+    """argparse type for an integer in [minimum, maximum]; argparse names the option in front of each message."""
+
+    def integer(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {text}")
+        return value
+
+    return integer
 
 
-def _seed(text: str) -> int:
-    return _bounded_integer(0, math.inf, text)
+def _split(factor_cap: float = math.inf):
+    """argparse type for a d1xd2 split with d1, d2 <= factor_cap; it returns the text, which config echoes."""
 
+    def split(text: str) -> str:
+        try:
+            parsed = _parse_split(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        for name, d in (("d1", parsed.d1), ("d2", parsed.d2)):
+            if d > factor_cap:
+                raise argparse.ArgumentTypeError(f"{name} must be at most {factor_cap}, got {text}")
+        return text
 
-def _count(text: str) -> int:
-    return _bounded_integer(1, math.inf, text)
+    return split
 
 
 _DENSE_DIM_CAP = 1024  # rows of superdense's d x d and of twirl's D x D estimate
@@ -289,41 +308,16 @@ _WORKERS_CAP = 64  # twirl sub-streams: it bounds the spawned Philox states, one
 _SYMSPAN_CAP = 50_000  # symspan samples: sym_span_analysis holds about 0.9 KB per sample, 83 MB at the cap
 
 
-def _dimension(text: str) -> int:
-    return _bounded_integer(2, _DENSE_DIM_CAP, text)
-
-
-def _workers(text: str) -> int:
-    return _bounded_integer(1, _WORKERS_CAP, text)
-
-
-def _symspan_samples(text: str) -> int:
-    return _bounded_integer(20, _SYMSPAN_CAP, text)
-
-
-def _twirl_split(text: str) -> str:
-    try:
-        split = _parse_split(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if split.dim > _DENSE_DIM_CAP:
-        raise argparse.ArgumentTypeError(f"d1*d2 must be at most {_DENSE_DIM_CAP}, got {text}")
-    for name, d in (("d1", split.d1), ("d2", split.d2)):
-        if d > _TWIRL_FACTOR_CAP:
-            raise argparse.ArgumentTypeError(f"{name} must be at most {_TWIRL_FACTOR_CAP}, got {text}")
-    return text
-
-
 def build_parser() -> argparse.ArgumentParser:
     # Each option goes only on the subcommands that read it: config echoes no value that was never applied.
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
     output.add_argument("--out", default=None, help="write output to this path instead of stdout")
     seeded = argparse.ArgumentParser(add_help=False, parents=[output])
-    seeded.add_argument("--seed", type=_seed, default=0, help="random seed, an integer >= 0 (default 0)")
+    seeded.add_argument("--seed", type=_integer(0), default=0, help="random seed, an integer >= 0 (default 0)")
     state_input = argparse.ArgumentParser(add_help=False, parents=[output])
     state_input.add_argument("--state", required=True, help="re,im amplitude pairs; @file or - for stdin")
-    state_input.add_argument("--split", required=True, help="bipartition as d1xd2")
+    state_input.add_argument("--split", type=_split(), required=True, help="bipartition as d1xd2")
 
     parser = argparse.ArgumentParser(prog="meronome", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -344,41 +338,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_pauli_table)
 
     p = sub.add_parser("twirl", parents=[seeded], help="Monte Carlo group twirl")
-    p.add_argument("--workers", type=_workers, default=1, help=f"random sub-streams, at most {_WORKERS_CAP} (default 1)")
-    p.add_argument("--samples", type=_count, required=True)
-    p.add_argument("--split", type=_twirl_split, default="2x2",
-                   help=f"bipartition as d1xd2, d1*d2 <= {_DENSE_DIM_CAP} and d1, d2 <= {_TWIRL_FACTOR_CAP} (default 2x2)")
+    p.add_argument("--workers", type=_integer(1, _WORKERS_CAP), default=1,
+                   help=f"random sub-streams, at most {_WORKERS_CAP} (default 1)")
+    p.add_argument("--samples", type=_integer(1), required=True)
+    p.add_argument("--split", type=_split(_TWIRL_FACTOR_CAP), default="2x2",
+                   help=f"bipartition as d1xd2, d1, d2 <= {_TWIRL_FACTOR_CAP} (default 2x2)")
     p.set_defaults(handler=_cmd_twirl)
 
     p = sub.add_parser("superdense", parents=[seeded], help="frame-independent one-bit signaling")
-    p.add_argument("--dim", type=_dimension, required=True)
-    p.add_argument("--trials", type=_count, required=True)
+    p.add_argument("--dim", type=_integer(2, _DENSE_DIM_CAP), required=True)
+    p.add_argument("--trials", type=_integer(1), required=True)
     p.set_defaults(handler=_cmd_superdense)
 
     p = sub.add_parser("lambda", parents=[seeded], help="Schmidt-parameter estimation from the invariant effect")
     p.add_argument("--lambda", type=float, required=True, help="smaller Schmidt parameter in [0, 0.5]")
-    p.add_argument("--shots", type=_count, required=True)
+    p.add_argument("--shots", type=_integer(1), required=True)
     p.set_defaults(handler=_cmd_lambda)
 
     p = sub.add_parser("refframe", parents=[seeded], help="symmetric-subspace reference measurement")
-    p.add_argument("--n", type=_count, required=True, help="number of reference copies")
-    p.add_argument("--dim", type=_dimension, required=True)
+    p.add_argument("--n", type=_integer(1), required=True, help="number of reference copies")
+    p.add_argument("--dim", type=_integer(2, _DENSE_DIM_CAP), required=True)
     p.set_defaults(handler=_cmd_refframe)
 
     p = sub.add_parser("ordering", parents=[output], help="pair-ordering discrimination signals")
     p.set_defaults(handler=_cmd_ordering)
 
     p = sub.add_parser("symspan", parents=[seeded], help="span of duplicated states in the symmetric subspace")
-    p.add_argument("--samples", type=_symspan_samples, required=True, help=f"at least 20, at most {_SYMSPAN_CAP}")
+    p.add_argument("--samples", type=_integer(20, _SYMSPAN_CAP), required=True, help=f"at least 20, at most {_SYMSPAN_CAP}")
     p.set_defaults(handler=_cmd_symspan)
 
     p = sub.add_parser("verify", parents=[seeded], help="run a verification suite")
     p.add_argument("--suite", choices=tuple(_SUITES), required=True)
-    p.add_argument("--trials", type=_count, required=True)
+    p.add_argument("--trials", type=_integer(1), required=True)
     p.set_defaults(handler=_cmd_verify)
 
     for p in sub.choices.values():  # argparse alone reads -1e3 and -inf as options, not values
         p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+        p.set_defaults(usage=p.format_usage)  # a handler's error prints its own subcommand's usage
     return parser
 
 
@@ -399,7 +395,7 @@ def run(argv=None) -> int:
             Path(args.out).write_text(text)
     except (ValueError, OSError) as exc:  # OSError: a --state @path that cannot be read, an --out that cannot be written
         message = f"{exc.filename}: {exc.strerror}" if isinstance(exc, OSError) and exc.filename else exc
-        print(parser.format_usage(), file=sys.stderr, end="")
+        print(args.usage(), file=sys.stderr, end="")
         print(f"meronome: error: {message}", file=sys.stderr)
         return 2
     if not args.out:

@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -315,7 +316,7 @@ def test_csv_format(capsys):
         ["refframe", "--n", "0", "--dim", "2"],
         ["frame", "theta", "--theta", "-inf"],                    # a negative special value is a value, not an option
         ["lambda", "--lambda", "-1e3", "--shots", "10"],
-        ["twirl", "--samples", "10", "--split", "33x32"],         # d1*d2 above the twirl cap
+        ["twirl", "--samples", "10", "--split", "33x32"],         # d1 above the twirl factor cap
         ["verify", "--suite", "thm1", "--trials", "5", "--seed", "-1"],
         ["frame", "bell", "--theta", "1"],                        # --theta would be echoed but never read
         ["schmidt", "--state", "1,0 0,0", "--split", "2x3x4"],
@@ -326,7 +327,7 @@ def test_csv_format(capsys):
         ["superdense", "--dim", "1025", "--trials", "1"],                 # --dim above the dense cap
         ["refframe", "--n", "1", "--dim", "1025"],
         ["symspan", "--samples", "50001"],                                # --samples above the symspan cap
-        ["twirl", "--samples", "256", "--split", "2x128"],                # d1*d2 within its cap, d2 above 32
+        ["twirl", "--samples", "256", "--split", "2x128"],                # d1*d2 within 1024, d2 above 32
         ["twirl", "--samples", "10", "--split", "33x1"],
     ],
 )
@@ -363,7 +364,7 @@ def test_negative_scientific_notation_is_a_value(capsys):
         (["refframe", "--n", "0", "--dim", "2"], "argument --n: must be an integer >= 1, got 0"),
         (["refframe", "--n", "1", "--dim", "1"], "argument --dim: must be an integer >= 2, got 1"),
         (["superdense", "--dim", "1", "--trials", "5"], "argument --dim: must be an integer >= 2, got 1"),
-        (["twirl", "--samples", "10", "--split", "33x32"], "argument --split: d1*d2 must be at most 1024, got 33x32"),
+        (["twirl", "--samples", "10", "--split", "33x32"], "argument --split: d1 must be at most 32, got 33x32"),
         (
             ["verify", "--suite", "thm1", "--trials", "5", "--seed", "-1"],
             "argument --seed: must be an integer >= 0, got -1",
@@ -383,6 +384,13 @@ def test_negative_scientific_notation_is_a_value(capsys):
         (["twirl", "--samples", "10", "--split", "33x1"], "argument --split: d1 must be at most 32, got 33x1"),
         (["classify", "--state", "1,2,3 0,0", "--split", "2x1"], "bad amplitude '1,2,3'; expected re,im"),
         (["classify", "--state", "1,x 0,0", "--split", "2x1"], "bad amplitude '1,x'; expected re,im"),
+        (["classify", "--state", "1,0 0,0", "--split", "2x0"], "argument --split: subsystem dimensions must be >= 1, got 2x0"),
+        (["symspan", "--samples", "many"], "argument --samples: must be an integer >= 20, got many"),
+        (["twirl", "--samples", "3", "--seed", "x"], "argument --seed: must be an integer >= 0, got x"),
+        (["superdense", "--dim", "2.5", "--trials", "1"], "argument --dim: must be an integer >= 2, got 2.5"),
+        (["twirl", "--samples", "3", "--workers", "two"], "argument --workers: must be an integer >= 1, got two"),
+        (["classify", "--state", "1,0", "--split", "1x1", "--tol", "abc"], "argument --tol: must be a finite number, got abc"),
+        (["frame", "theta", "--theta", "abc"], "argument --theta: must be a finite number, got abc"),
     ],
 )
 def test_bad_input_message_names_the_problem(capsys, argv, message):
@@ -391,6 +399,16 @@ def test_bad_input_message_names_the_problem(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+    assert not re.search(r"\b_\w", captured.err), captured.err  # no private helper is named
+
+
+def test_handler_error_prints_its_subcommands_usage(capsys):
+    code = cli.run(["schmidt", "--state", "1,0 0,0", "--split", "2x2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage: meronome schmidt ")
+    assert "pauli-table" not in err
+    assert "state has 2 amplitudes, split wants 4" in err
 
 
 def test_non_finite_state_exits_2(capsys):
@@ -427,6 +445,12 @@ def test_unknown_command_exits_2(capsys):
 def test_help_exits_0(capsys):
     assert cli.run(["--help"]) == 0
     assert "meronome" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [argv[0] for argv, _ in SCHEMA_CASES])
+def test_subcommand_help_exits_0(capsys, command):
+    assert cli.run([command, "--help"]) == 0
+    assert f"usage: meronome {command}" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------- benchmark harness
