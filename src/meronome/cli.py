@@ -252,18 +252,25 @@ def _cmd_verify(args):
 
 # ---------------------------------------------------------------- parser
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan  # not a number: the same message as nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
-    return value
+def _finite_float(minimum: float = -math.inf, maximum: float = math.inf):
+    """argparse type for a finite float in [minimum, maximum]; argparse names the option in front of each message."""
+
+    def finite_float(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan  # not a number: the same message as nan
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+        if not minimum <= value <= maximum:
+            raise argparse.ArgumentTypeError(f"must lie in [{minimum:g}, {maximum:g}], got {text}")
+        return value
+
+    return finite_float
 
 
 def _positive_float(text: str) -> float:
-    value = _finite_float(text)
+    value = _finite_float()(text)
     if value <= 0.0:
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
     return value
@@ -331,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frame", parents=[output], help="frame-change unitaries")
     p.add_argument("kind", choices=("bell", "theta"))
-    p.add_argument("--theta", type=_finite_float, default=None)
+    p.add_argument("--theta", type=_finite_float(), default=None)
     p.set_defaults(handler=_cmd_frame)
 
     p = sub.add_parser("pauli-table", parents=[output], help="Bell-frame Pauli dictionary")
@@ -351,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_superdense)
 
     p = sub.add_parser("lambda", parents=[seeded], help="Schmidt-parameter estimation from the invariant effect")
-    p.add_argument("--lambda", type=float, required=True, help="smaller Schmidt parameter in [0, 0.5]")
+    p.add_argument("--lambda", type=_finite_float(0.0, 0.5), required=True, help="smaller Schmidt parameter in [0, 0.5]")
     p.add_argument("--shots", type=_integer(1), required=True)
     p.set_defaults(handler=_cmd_lambda)
 
@@ -374,30 +381,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in sub.choices.values():  # argparse alone reads -1e3 and -inf as options, not values
         p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
-        p.set_defaults(usage=p.format_usage)  # a handler's error prints its own subcommand's usage
+        p.set_defaults(error=p.error)  # leftover words and handler errors go out under the subcommand's usage
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args, leftover = build_parser().parse_known_args(argv)
+        if leftover:
+            args.error(f"unrecognized arguments: {' '.join(leftover)}")
+        config = {k: v for k, v in vars(args).items() if k != "command" and not callable(v)}
+        started = time.perf_counter()
+        try:
+            result, failed = args.handler(args)
+            elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
+            text = _render({"command": args.command, "config": config, "result": result, "elapsed_ms": elapsed_ms}, args.fmt)
+            if args.out:
+                Path(args.out).write_text(text)
+        except (ValueError, OSError) as exc:  # OSError: a --state @path that cannot be read, an --out that cannot be written
+            args.error(f"{exc.filename}: {exc.strerror}" if isinstance(exc, OSError) and exc.filename else str(exc))
+    except SystemExit as exc:  # argparse's exit: 0 after --help, 2 after an error message
         return int(exc.code or 0)
-
-    config = {k: v for k, v in vars(args).items() if k != "command" and not callable(v)}
-    started = time.perf_counter()
-    try:
-        result, failed = args.handler(args)
-        elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
-        text = _render({"command": args.command, "config": config, "result": result, "elapsed_ms": elapsed_ms}, args.fmt)
-        if args.out:
-            Path(args.out).write_text(text)
-    except (ValueError, OSError) as exc:  # OSError: a --state @path that cannot be read, an --out that cannot be written
-        message = f"{exc.filename}: {exc.strerror}" if isinstance(exc, OSError) and exc.filename else exc
-        print(args.usage(), file=sys.stderr, end="")
-        print(f"meronome: error: {message}", file=sys.stderr)
-        return 2
     if not args.out:
         sys.stdout.write(text)
     return 1 if failed else 0

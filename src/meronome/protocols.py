@@ -173,46 +173,40 @@ def sample_lambda_measurement(lam: float, shots: int, rng: np.random.Generator) 
 
 
 @lru_cache(maxsize=None)
-def _sym_basis_cached(d: int, n: int) -> np.ndarray:
-    """Orthonormal basis of the symmetric subspace of (C^d)^(x n), shape (d^n, C(d+n-1, n)).
-
-    Computational indices with the same digit multiset are the arrangements
-    of one occupation state; each column is their equal-weight superposition.
-    """
+def _sym_classes(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Occupation classes (digit multisets) of (C^d)^(x n): the read-only label of each index and the size of each class."""
     if d > 1 and (n >= _DIM_CAP.bit_length() or d**n > _DIM_CAP):  # 2^n alone tops the cap from there on
         raise ValueError(f"n = {n} copies of dimension d = {d} exceed the dense cap {_DIM_CAP} on d^n")
-    total = d**n
-    digits = (np.arange(total)[:, None] // d ** np.arange(n - 1, -1, -1)) % d  # row k: the base-d digits of k
-    groups: dict[tuple, list[int]] = {}
-    for index, key in enumerate(map(tuple, np.sort(digits, axis=1))):
-        groups.setdefault(key, []).append(index)
-    basis = np.zeros((total, len(groups)), dtype=np.complex128)
-    for col, members in enumerate(groups.values()):
-        basis[members, col] = 1.0 / math.sqrt(len(members))
-    return basis
+    places = d ** np.arange(n - 1, -1, -1)
+    digits = (np.arange(d**n)[:, None] // places) % d  # row k: the base-d digits of k
+    _, labels, sizes = np.unique(np.sort(digits, axis=1) @ places, return_inverse=True, return_counts=True)
+    for array in (labels, sizes):
+        array.setflags(write=False)
+    return labels, sizes
 
 
 def sym_projector(d: int, n: int) -> Operator:
     """Orthogonal projector onto the symmetric subspace of n copies of a d-level system."""
     if d < 1 or n < 1:
         raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
-    basis = _sym_basis_cached(d, n)
-    return Operator(basis @ basis.conj().T)
+    labels, sizes = _sym_classes(d, n)
+    return Operator((labels[:, None] == labels) / sizes[labels][:, None])
 
 
 def measure_sym_subspace(psi: StateVector, phi_ref: StateVector, n: int) -> float:
     """Probability that psi together with n reference copies of phi_ref is fully symmetric."""
     if psi.dim != phi_ref.dim:
         raise ValueError(f"system dim {psi.dim} and reference dim {phi_ref.dim} differ")
-    d = psi.dim
     if n < 1:
         raise ValueError(f"need at least one reference copy, got {n}")
-    basis = _sym_basis_cached(d, n + 1)
+    labels, sizes = _sym_classes(psi.dim, n + 1)
     joint = psi.amps
     for _ in range(n):
         joint = np.kron(joint, phi_ref.amps)
-    coords = basis.conj().T @ joint
-    return float(np.vdot(coords, coords).real)
+    # The classes' normalized equal-weight superpositions are an orthonormal basis of the symmetric subspace;
+    # class k's has coordinate s_k / sqrt(size_k), s_k the sum of the class's joint amplitudes.
+    squares = np.bincount(labels, joint.real) ** 2 + np.bincount(labels, joint.imag) ** 2  # |s_k|^2
+    return float((squares / sizes).sum())
 
 
 def reference_frame_effect(phi_ref: StateVector, n: int) -> Operator:
@@ -256,7 +250,7 @@ def sym_span_analysis(samples: int, rng: np.random.Generator) -> SymSpanReport:
     lam = lambda_state().amps.conj()
     return SymSpanReport(
         samples=samples,
-        sym_dim=_sym_basis_cached(4, 2).shape[1],
+        sym_dim=len(_sym_classes(4, 2)[1]),
         product_span_rank=int((singular > 1e-8 * singular[0]).sum()),
         max_lambda_overlap=float(np.abs(dup_products @ lam).max()),
         min_entangled_lambda_overlap=float(np.abs(dup_entangled @ lam).min()),

@@ -210,7 +210,7 @@ def test_refframe_dense_cap_message_is_short(capsys, n):
     assert code == 2
     assert captured.out == ""
     error = captured.err.splitlines()[-1]
-    assert error == f"meronome: error: n = {int(n) + 1} copies of dimension d = 2 exceed the dense cap 4096 on d^n"
+    assert error == f"meronome refframe: error: n = {int(n) + 1} copies of dimension d = 2 exceed the dense cap 4096 on d^n"
     assert len(error) < 200
 
 
@@ -359,7 +359,7 @@ def test_negative_scientific_notation_is_a_value(capsys):
     "argv,message",
     [
         (["frame", "theta", "--theta", "-inf"], "argument --theta: must be a finite number, got -inf"),
-        (["lambda", "--lambda", "-1e3", "--shots", "10"], "lam must lie in [0, 0.5], got -1000.0"),
+        (["lambda", "--lambda", "-1e3", "--shots", "10"], "argument --lambda: must lie in [0, 0.5], got -1e3"),
         (["lambda", "--lambda", "0.1", "--shots", "-5"], "argument --shots: must be an integer >= 1, got -5"),
         (["refframe", "--n", "0", "--dim", "2"], "argument --n: must be an integer >= 1, got 0"),
         (["refframe", "--n", "1", "--dim", "1"], "argument --dim: must be an integer >= 2, got 1"),
@@ -409,6 +409,26 @@ def test_handler_error_prints_its_subcommands_usage(capsys):
     assert err.startswith("usage: meronome schmidt ")
     assert "pauli-table" not in err
     assert "state has 2 amplitudes, split wants 4" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["twirl", "--samples", "0"], "argument --samples: must be an integer >= 1, got 0"),  # parse time
+        (["lambda", "--lambda", "nan", "--shots", "10"], "argument --lambda: must be a finite number, got nan"),
+        (["lambda", "--lambda", "0.7", "--shots", "10"], "argument --lambda: must lie in [0, 0.5], got 0.7"),
+        (["schmidt", "--state", "1,0 0,0", "--split", "2x2"], "state has 2 amplitudes, split wants 4"),  # handler
+        (["ordering", "--out", "/nonexistent/dir/x.json"], "/nonexistent/dir/x.json: No such file or directory"),
+        (["schmidt", "--state", "1,0", "0,0", "--split", "2x1"], "unrecognized arguments: 0,0"),  # unquoted state
+        (["frame", "bell", "extra"], "unrecognized arguments: extra"),
+    ],
+)
+def test_every_error_reads_under_its_subcommand(capsys, argv, message):
+    code = cli.run(argv)
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert lines[0].startswith(f"usage: meronome {argv[0]} ")
+    assert lines[-1] == f"meronome {argv[0]}: error: {message}"
 
 
 def test_non_finite_state_exits_2(capsys):

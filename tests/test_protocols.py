@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -18,7 +19,7 @@ from meronome.protocols import (
     OrderingVerdict,
     _hit_probabilities,
     _pair_projectors,
-    _sym_basis_cached,
+    _sym_classes,
     lambda_effect_probability,
     lambda_state,
     measure_sym_subspace,
@@ -268,18 +269,31 @@ def test_sym_projector_rank(d, n, expected):
     assert np.abs(proj - proj.conj().T).max() < 1e-14
 
 
+def _permutation_average(d: int, n: int, columns: np.ndarray) -> np.ndarray:
+    """(1/n!) sum over pi of Pi_pi on each column of a (d^n, k) array, Pi_pi permuting the n tensor factors.
+
+    Acting on columns keeps it at d^n * k entries, where the dense average would hold d^(2n).
+    """
+    tensors = columns.reshape((d,) * n + (-1,))
+    perms = list(itertools.permutations(range(n)))
+    return sum(tensors.transpose(*perm, n) for perm in perms).reshape(d**n, -1) / len(perms)
+
+
 @pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (3, 2), (4, 2)])
 def test_sym_projector_matches_permutation_average(d, n):
-    import itertools
-
-    from meronome.linalg import permutation_operator
-
-    total = d**n
-    averaged = np.zeros((total, total), dtype=complex)
-    for perm in itertools.permutations(range(n)):
-        averaged += permutation_operator([d] * n, perm).entries
-    averaged /= math.factorial(n)
+    averaged = _permutation_average(d, n, np.eye(d**n, dtype=complex))
     assert np.abs(sym_projector(d, n).entries - averaged).max() < 1e-12
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 4), (3, 3), (5, 2), (64, 1), (16, 2), (8, 3), (4, 5)])
+def test_measure_sym_matches_permutation_average(d, n):
+    rng = seeded(100 * d + n)
+    psi, phi = random_state(d, rng), random_state(d, rng)
+    joint = psi.amps
+    for _ in range(n):
+        joint = np.kron(joint, phi.amps)
+    oracle = np.vdot(joint, _permutation_average(d, n + 1, joint[:, None])[:, 0]).real
+    assert abs(measure_sym_subspace(psi, phi, n) - oracle) < 1e-12
 
 
 def test_measure_sym_large_reference_is_fast():
@@ -298,12 +312,13 @@ def test_sym_projector_size_guard():
 
 
 def test_dense_cap_is_decided_on_the_exponent():
-    assert _sym_basis_cached(2, 12).shape == (4096, 13)  # exactly at the cap
-    assert _sym_basis_cached(4, 6).shape[0] == 4096
+    labels, sizes = _sym_classes(2, 12)  # exactly at the cap
+    assert labels.shape == (4096,) and sizes.shape == (13,)
+    assert _sym_classes(4, 6)[0].shape == (4096,)
     assert sym_projector(1, 50).entries.tolist() == [[1.0]]  # d = 1 never grows
     for d, n in [(2, 13), (4, 7), (4097, 1), (2, 10**9)]:
         with pytest.raises(ValueError) as info:
-            _sym_basis_cached(d, n)
+            _sym_classes(d, n)
         assert str(info.value) == f"n = {n} copies of dimension d = {d} exceed the dense cap 4096 on d^n"
     with pytest.raises(ValueError, match=r"^n = 20001 copies of dimension d = 2 exceed the dense cap 4096 on d\^n$"):
         measure_sym_subspace(StateVector.basis(2, 0), StateVector.basis(2, 0), 20000)
