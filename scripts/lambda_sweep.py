@@ -10,15 +10,16 @@ from __future__ import annotations
 import argparse
 import math
 
+from meronome.cli import _integer
 from meronome.protocols import sample_lambda_measurement
 from meronome.sampling import seeded
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--shots", type=int, default=100_000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--points", type=int, default=11, help="grid points on [0, 0.5]")
+    parser.add_argument("--shots", type=_integer(1), default=100_000)
+    parser.add_argument("--seed", type=_integer(0), default=0)
+    parser.add_argument("--points", type=_integer(2), default=11, help="grid points on [0, 0.5], at least 2")
     args = parser.parse_args()
 
     print(f"{'lambda':>8}  {'p = l(1-l)':>10}  {'p_hat':>10}  {'lambda_hat':>10}  {'pull':>6}")

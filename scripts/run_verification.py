@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from meronome.cli import _integer
 from meronome.sampling import seeded
 from meronome.theorems import check_lemmas_suite, check_theorem1_suite, check_theorem2_suite
 
@@ -21,8 +22,8 @@ SUITES = {
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=int, default=100)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
+    parser.add_argument("--trials", type=_integer(1), default=100)
+    parser.add_argument("--seeds", type=_integer(0), nargs="+", default=[0, 1, 2])
     args = parser.parse_args()
 
     failures = 0

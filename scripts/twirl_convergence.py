@@ -10,16 +10,17 @@ import argparse
 
 import numpy as np
 
+from meronome.cli import _integer
 from meronome.linalg import BipartiteSplit, StateVector
 from meronome.sampling import seeded, twirl_monte_carlo
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=5, help="number of independent seeds")
+    parser.add_argument("--seeds", type=_integer(1), default=5, help="number of independent seeds")
     parser.add_argument(
         "--counts",
-        type=int,
+        type=_integer(1),
         nargs="+",
         default=[100, 1_000, 10_000, 100_000],
         help="sample counts to evaluate",

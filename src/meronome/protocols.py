@@ -177,7 +177,7 @@ def _sym_classes(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Occupation classes (digit multisets) of (C^d)^(x n): the read-only label of each index and the size of each class."""
     if d > 1 and (n >= _DIM_CAP.bit_length() or d**n > _DIM_CAP):  # 2^n alone tops the cap from there on
         raise ValueError(f"n = {n} copies of dimension d = {d} exceed the dense cap {_DIM_CAP} on d^n")
-    places = d ** np.arange(n - 1, -1, -1)
+    places = d ** np.arange(n - 1, -1, -1) if d > 1 else np.ones(1, dtype=int)  # d = 1: one index, one class, any n
     digits = (np.arange(d**n)[:, None] // places) % d  # row k: the base-d digits of k
     _, labels, sizes = np.unique(np.sort(digits, axis=1) @ places, return_inverse=True, return_counts=True)
     for array in (labels, sizes):
@@ -199,6 +199,8 @@ def measure_sym_subspace(psi: StateVector, phi_ref: StateVector, n: int) -> floa
         raise ValueError(f"system dim {psi.dim} and reference dim {phi_ref.dim} differ")
     if n < 1:
         raise ValueError(f"need at least one reference copy, got {n}")
+    if psi.dim == 1:
+        return 1.0  # one level: every joint state is symmetric
     labels, sizes = _sym_classes(psi.dim, n + 1)
     joint = psi.amps
     for _ in range(n):

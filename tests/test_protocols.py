@@ -331,6 +331,20 @@ def test_one_level_copies_beyond_numpy_max_ndim():
     assert measure_sym_subspace(one, one, 100) == 1.0
 
 
+def test_one_level_copies_cost_no_memory_or_loop_in_n():
+    # (C^1)^(x n) is one index in one class of size 1, whatever n: nothing n-long is built or looped over
+    tracemalloc.start()
+    try:
+        labels, sizes = _sym_classes.__wrapped__(1, 10**6)  # uncached, so the build itself is measured
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels.tolist() == [0] and sizes.tolist() == [1]
+    assert peak < 2**20, peak
+    phase = StateVector(np.array([np.exp(0.3j)]))
+    assert measure_sym_subspace(phase, phase, 10**7) == 1.0  # one np.kron per copy would take minutes
+
+
 def test_measure_sym_aligned_passes():
     phi = random_state(3, seeded(1))
     assert abs(measure_sym_subspace(phi, phi, 2) - 1.0) < 1e-12

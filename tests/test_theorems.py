@@ -15,12 +15,13 @@ from meronome.frames import (
     factor_as_local,
     swap_operator,
 )
-from meronome.linalg import BipartiteSplit, Operator, StateVector
+from meronome.linalg import TOL_ALGEBRA, TOL_EIGEN, BipartiteSplit, Operator, StateVector
 from meronome.sampling import (
     haar_unitary_batch,
     random_m_element,
     random_m_elements,
     random_maxent_state,
+    random_maxent_states,
     random_state,
     random_states,
     seeded,
@@ -245,7 +246,7 @@ def test_stacked_checks_match_the_per_element_formulas(split, monkeypatch):
     elems = ElementStack.from_elements(rows)
     assert split.d1 != split.d2 or 0 < elems.swaps.sum() < 64
     states = random_states((split.dim,), 64, rng)
-    drifts, gone = theorems._schmidt_drifts(elems, states)
+    drifts, gone = theorems._schmidt_drifts(states, elems.act(states), split)
     verdicts = schmidt_preservation_check(elems, states)
     for elem, amps, drift, dead, verdict in zip(rows, states, drifts, gone, verdicts):
         expected = _per_element_drift(elem, amps, split)
@@ -277,6 +278,32 @@ def test_stacked_checks_match_the_per_element_formulas(split, monkeypatch):
         assert results[i].verdict is expected.verdict and results[i].residual == expected.residual  # bitwise
         assert verdict.passed
         assert verdict.detail == f"recognized as {expected.verdict.value} (residual {expected.residual:.2e})"
+
+
+def _classified_breaks(images: np.ndarray, tol: float) -> list[bool]:
+    # the per-probe reference: a zero image, or one that classify, once renormalized, does not call maximally entangled
+    maxent = Entanglement.MAXIMALLY_ENTANGLED
+    norms = np.linalg.norm(images, axis=1)
+    return [n < 1e-12 or classify(StateVector(image / n), S22, tol) is not maxent for image, n in zip(images, norms)]
+
+
+@pytest.mark.parametrize("tol", [TOL_ALGEBRA, TOL_EIGEN], ids=["TOL_ALGEBRA", "TOL_EIGEN"])
+def test_stacked_maximality_matches_per_probe_classify(tol):
+    rng = seeded(41)
+    members = random_m_elements(S22, 64, rng)
+    assert 0 < members.swaps.sum() < 64
+    candidates = haar_unitary_batch(4, 64, rng)
+    probes = random_maxent_states(2, 128 * PROBES, rng).reshape(128, PROBES, 4)
+    images = np.concatenate((members.act(probes[:64]), np.einsum("nij,npj->npi", candidates, probes[64:])))
+    broken = theorems._breaks_maximality(probes, images, tol)
+    assert broken.shape == (128, PROBES)
+    assert broken.ravel().tolist() == _classified_breaks(images.reshape(-1, 4), tol)
+    assert not broken[:64].any() and broken[64:].any(axis=1).all()
+
+
+def test_theorem2_suite_judges_maximality_without_classify(monkeypatch):
+    monkeypatch.setattr(theorems, "classify", None)  # any call would raise
+    assert check_theorem2_suite(70, seeded(0)).passed
 
 
 def test_nonmember_checks_on_bell_frame_change():
@@ -380,7 +407,7 @@ def test_suites_fail_on_injected_fault():
     "suite, detail",
     [
         (check_theorem1_suite, "trial 0 on 2x2: element annihilated the probe state"),
-        (check_theorem2_suite, "trial 0: element moved a maximally entangled state off the maximal set"),
+        (check_theorem2_suite, "trial 0 on 2x2: element moved a maximally entangled state off the maximal set"),
     ],
 )
 def test_suites_report_an_element_that_annihilates_the_probe(suite, detail):
@@ -415,6 +442,13 @@ def test_theorem1_suite_reports_a_fault_in_the_second_stack():
     good = MeronomicElement.identity(S22)
     verdict = check_theorem1_suite(130, seeded(0), elements=[good] * 70 + [_faulted_element()])
     assert verdict.detail.startswith("trial 70 on 2x2: Schmidt parameters drifted by ")
+    assert verdict.witness.shape == (4,)
+
+
+def test_theorem2_suite_reports_a_fault_in_the_second_stack():
+    good = MeronomicElement.identity(S22)
+    verdict = check_theorem2_suite(130, seeded(0), elements=[good] * 70 + [_faulted_element()])
+    assert verdict.detail == "trial 70 on 2x2: element moved a maximally entangled state off the maximal set"
     assert verdict.witness.shape == (4,)
 
 
@@ -456,16 +490,16 @@ def test_nonmember_checks_draw_a_fixed_number_of_probes(monkeypatch):
     monkeypatch.setattr(theorems, "classify", lambda *args: classified.append(args) or classify(*args))
     s23, haar = BipartiteSplit(2, 3), Operator(haar_unitary_batch(6, 1, seeded(30))[0])
     runs = [
-        (partial(nonmember_product_check, split=s23), haar, Operator.identity(6)),
-        (nonmember_maxent_check, bell_frame_unitary(), Operator.identity(4)),
+        (partial(nonmember_product_check, split=s23), haar, Operator.identity(6), (1, PROBES)),
+        (nonmember_maxent_check, bell_frame_unitary(), Operator.identity(4), (0, 0)),  # one SVD, no classify
     ]
-    for check, escapes_at_once, never_escapes in runs:
+    for check, escapes_at_once, never_escapes, probes_classified in runs:
         after = []
-        for u, probes_classified in ((escapes_at_once, 1), (never_escapes, PROBES)):
+        for u, count in zip((escapes_at_once, never_escapes), probes_classified):
             classified.clear()
             rng = seeded(31)
             check(u, rng=rng)
-            assert len(classified) == probes_classified
+            assert len(classified) == count
             after.append(rng.random())
         assert after[0] == after[1]
 
