@@ -269,10 +269,10 @@ def _finite_float(minimum: float = -math.inf, maximum: float = math.inf):
     return finite_float
 
 
-def _positive_float(text: str) -> float:
+def _classify_tol(text: str) -> float:  # frames.classify takes a tol in the open interval (0, 1/4)
     value = _finite_float()(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    if not 0.0 < value < 0.25:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 0.25), got {text}")
     return value
 
 
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_schmidt)
 
     p = sub.add_parser("classify", parents=[state_input], help="entanglement class of a state")
-    p.add_argument("--tol", type=_positive_float, default=linalg.TOL_ALGEBRA, help="tolerance (default %(default)g)")
+    p.add_argument("--tol", type=_classify_tol, default=linalg.TOL_ALGEBRA, help="tolerance in (0, 0.25) (default %(default)g)")
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("frame", parents=[output], help="frame-change unitaries")

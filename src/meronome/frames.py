@@ -152,6 +152,8 @@ class MeronomicElement:
     swap: bool = False
 
     def __post_init__(self):
+        if not (isinstance(self.v, Operator) and isinstance(self.w, Operator)):
+            raise TypeError(f"factors must be Operators, got {type(self.v).__name__} and {type(self.w).__name__}")
         ElementStack(self.v.entries[None], self.w.entries[None], [self.swap])  # the stack's checks and messages
 
     @classmethod
@@ -221,9 +223,11 @@ def classify(state: StateVector, split: BipartiteSplit, tol: float = TOL_ALGEBRA
     """Entanglement class of a pure state relative to a split.
 
     Product when one Schmidt parameter carries all the weight, maximally
-    entangled when all min(d1, d2) parameters are equal; Product wins when
-    both hold (trivial splits with min(d1, d2) == 1).
+    entangled when all min(d1, d2) parameters are equal, each within tol in
+    (0, 1/4); both hold only when min(d1, d2) == 1, and then Product wins.
     """
+    if not 0.0 < tol < 0.25:  # at 1/4, Schmidt parameters (3/4, 1/4) would pass both tests
+        raise ValueError(f"tol must lie in (0, 1/4), got {tol}")
     params = schmidt_decompose(state, split).params
     if params[0] >= 1.0 - tol:
         return Entanglement.PRODUCT

@@ -78,6 +78,8 @@ def haar_unitary_batch(dim: int, count: int, rng: np.random.Generator) -> np.nda
 def random_states(dims: tuple, count: int, rng: np.random.Generator) -> np.ndarray:
     """`count` Haar-random pure states on C^d for dims (d,), or product states on C^(d1*d2) for (d1, d2), as
     rows: normalized complex Gaussian vectors (for a product, the normalized product of two)."""
+    if len(dims) not in (1, 2):
+        raise ValueError(f"dims must be (d,) or (d1, d2), got {dims}")
     _check_stack(min(dims), count)
     z = rng.standard_normal((count, sum(dims))) + 1j * rng.standard_normal((count, sum(dims)))
     if len(dims) == 2:

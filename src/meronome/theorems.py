@@ -8,21 +8,21 @@ entangled states to the Hermitian/anti-Hermitian character of the unitary
 connecting them.  The checks sample these statements and return Verdicts
 with reproducible witnesses instead of raising, so they can run as suites.
 Both theorem suites run through one driver, which draws each split's group
-elements (as one ElementStack), probes and Haar candidates in stacks, and
-every non-member check draws its PROBES probes up front, all through the
-stacked samplers of meronome.sampling.  Schmidt drift (theorem 1) and maximal
-entanglement (theorem 2: of group elements at TOL_ALGEBRA, of rejected Haar
-unitaries at TOL_EIGEN) are judged by one SVD over all probes and images.
+elements (one ElementStack from random_m_elements, which tests replace to
+inject faults), probes and Haar candidates in stacks; a non-member check
+draws its PROBES probes up front.  Schmidt drift (theorem 1) and maximal
+entanglement (theorem 2: elements at TOL_ALGEBRA, rejected Haar unitaries at
+TOL_EIGEN) are judged by one SVD over all probes and images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .frames import ElementStack, Entanglement, Membership, MeronomicElement, classify, factor_as_local
+from .frames import ElementStack, Entanglement, Membership, classify, factor_as_local
 from .linalg import TOL_ALGEBRA, TOL_EIGEN, BipartiteSplit, Operator, StateVector, phase_fix
 from .sampling import haar_unitary_batch, random_m_elements, random_maxent_state, random_maxent_states, random_states
 
@@ -195,27 +195,25 @@ def nonmember_maxent_check(u: Operator, rng: np.random.Generator) -> Verdict:
     return Verdict(False, f"all {PROBES} maximally entangled probes stayed maximal", witness=u.entries)
 
 
-def _run_suite(trials, rng, elements, splits, draw_probes, check, nonmember) -> Optional[Verdict]:
+def _run_suite(trials, rng, splits, draw_probes, check, nonmember) -> Optional[Verdict]:
     """A theorem suite's first failure as "trial t on d1xd2: ...", or None.  Each split draws lazily, in stacks of
-    _STACK trials: group elements (random_m_elements, or the next of `elements`, cycled, on that split), then
-    draw_probes(n, split), then Haar candidates.  A trial runs per split, in `splits` order (or on its element's split):
-    check(stack, probes) judges each row; a candidate factor_as_local rejects must pass nonmember(u, split, rng)."""
+    _STACK trials: group elements (random_m_elements), then draw_probes(n, split), then Haar candidates.  Every trial
+    runs on every split, in `splits` order: check(stack, probes) judges each row; a candidate factor_as_local rejects
+    must pass nonmember(u, split, rng).  Tests inject faults by replacing random_m_elements."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
     def rows(split):
-        own = [e for e in (elements[t % len(elements)] for t in range(trials)) if e.split == split] if elements else None
-        count = trials if own is None else len(own)
-        for start in range(0, count, _STACK):
-            n = min(_STACK, count - start)
-            elems = random_m_elements(split, n, rng) if own is None else ElementStack.from_elements(own[start : start + n])
+        for start in range(0, trials, _STACK):
+            n = min(_STACK, trials - start)
+            elems = random_m_elements(split, n, rng)
             probes = draw_probes(n, split)
             candidates = haar_unitary_batch(split.dim, n, rng)
             yield from zip(check(elems, probes), map(Operator, candidates))
 
     draws = {split: rows(split) for split in splits}
     for t in range(trials):
-        for split in (elements[t % len(elements)].split,) if elements else splits:
+        for split in splits:
             verdict, candidate = next(draws[split])
             if verdict.passed and factor_as_local(candidate, split).verdict is Membership.NOT_MEMBER:
                 verdict = nonmember(candidate, split, rng)
@@ -224,44 +222,34 @@ def _run_suite(trials, rng, elements, splits, draw_probes, check, nonmember) -> 
     return None
 
 
-def check_theorem1_suite(
-    trials: int, rng: np.random.Generator, elements: Optional[Sequence[MeronomicElement]] = None
-) -> Verdict:
+def check_theorem1_suite(trials: int, rng: np.random.Generator) -> Verdict:
     """Sampled check that decomposition preservation, Schmidt preservation and
     product-form factorization single out the same unitaries.
 
-    Per trial and split: a group element must preserve Schmidt parameters and
-    be recognized by the membership test, while a Haar-random global unitary
-    that the test rejects must move at least one product state off the
-    product set.  `elements` overrides the sampled group elements (cycled,
-    each trial running on that element's own split), which is how deliberate
-    faults are injected.  The verdict names the first failing trial, split
-    (2x2 before 2x3) and check (Schmidt, membership, non-member), in that order.
+    Per trial and split: a group element from random_m_elements (tests replace
+    it to inject faults) must keep Schmidt parameters and pass the membership
+    test, while a Haar-random unitary that the test rejects must move a
+    product state off the product set.  The first failure names its trial,
+    split (2x2 before 2x3) and check (Schmidt, membership, non-member).
     """
-    splits = tuple(dict.fromkeys(e.split for e in elements[:trials])) if elements else (_S22, BipartiteSplit(2, 3))
     check = lambda elems, states: [  # per row: the Schmidt verdict where it failed, else the membership verdict
         second if first.passed else first
         for first, second in zip(schmidt_preservation_check(elems, states), member_recognition_check(elems))
     ]
     draw = lambda n, split: random_states((split.dim,), n, rng)
-    failure = _run_suite(trials, rng, elements, splits, draw, check, nonmember_product_check)
-    names = " and ".join(f"{s.d1}x{s.d2}" for s in splits)
-    return failure or Verdict(True, f"{trials} trials on split{'s' * (len(splits) > 1)} {names} passed")
+    failure = _run_suite(trials, rng, (_S22, BipartiteSplit(2, 3)), draw, check, nonmember_product_check)
+    return failure or Verdict(True, f"{trials} trials on splits 2x2 and 2x3 passed")
 
 
-def check_theorem2_suite(
-    trials: int, rng: np.random.Generator, elements: Optional[Sequence[MeronomicElement]] = None
-) -> Verdict:
+def check_theorem2_suite(trials: int, rng: np.random.Generator) -> Verdict:
     """Sampled check that, on two qubits, exactly the decomposition-preserving
     unitaries preserve maximal entanglement.
 
-    Group elements (or injected overrides) must map PROBES random maximally
-    entangled states to maximally entangled ones, judged at TOL_ALGEBRA;
-    rejected Haar unitaries must break maximality on one of PROBES probes,
-    judged at TOL_EIGEN.  Each stack's probes are judged by one SVD.
+    Group elements must map PROBES random maximally entangled states to
+    maximally entangled ones, judged at TOL_ALGEBRA; rejected Haar unitaries
+    must break maximality on one of PROBES probes, judged at TOL_EIGEN.
+    Each stack's probes are judged by one SVD.
     """
-    if elements and any(e.split != _S22 for e in elements):
-        raise ValueError("the two-qubit suite only takes 2x2 elements")
     draw = lambda n, _: random_maxent_states(2, n * PROBES, rng).reshape(n, PROBES, 4)
     check = lambda elems, probes: [  # per row: the first probe whose image left the maximal set
         Verdict(False, "element moved a maximally entangled state off the maximal set", row[broken.argmax()])
@@ -269,7 +257,7 @@ def check_theorem2_suite(
         for row, broken in zip(probes, _breaks_maximality(probes, elems.act(probes), TOL_ALGEBRA))
     ]
     nonmember = lambda u, _, rng: nonmember_maxent_check(u, rng)
-    failure = _run_suite(trials, rng, elements, (_S22,), draw, check, nonmember)
+    failure = _run_suite(trials, rng, (_S22,), draw, check, nonmember)
     return failure or Verdict(True, f"{trials} trials on the 2x2 split passed")
 
 

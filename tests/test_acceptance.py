@@ -208,7 +208,7 @@ def test_09_ordering_discrimination():
             assert np.abs(g2 @ tau.entries @ g2.conj().T - tau.entries).max() < 1e-9
 
 
-def test_10_theorem_suites():
+def test_10_theorem_suites(inject_elements):
     with criterion(10, "preservation theorems verify and catch injected faults"):
         for seed in (0, 1, 2):
             assert check_theorem1_suite(100, seeded(seed)).passed
@@ -227,5 +227,6 @@ def test_10_theorem_suites():
         faulted = MeronomicElement.identity(S22)
         object.__setattr__(faulted, "w", Operator(np.diag([1.0, 0.5]).astype(complex)))
         for suite in (check_theorem1_suite, check_theorem2_suite):
-            verdict = suite(1, seeded(0), elements=[faulted])
+            inject_elements(faulted)
+            verdict = suite(1, seeded(0))
             assert not verdict.passed and verdict.witness is not None

@@ -101,6 +101,20 @@ def test_classify_command(capsys):
     assert bell["result"]["classification"] == "MaximallyEntangled"
 
 
+@pytest.mark.parametrize(
+    "state, expected",
+    [
+        (PHI_PLUS_TEXT, "MaximallyEntangled"),
+        ("1,0 0,0 0,0 0,0", "Product"),
+        ("1.7320508075688772,0 0,0 0,0 1,0", "Entangled"),  # Schmidt parameters (3/4, 1/4) once normalized
+    ],
+)
+def test_classify_keeps_the_classes_apart_just_below_a_quarter(capsys, state, expected):
+    code, payload, _ = _run_json(capsys, ["classify", "--state", state, "--split", "2x2", "--tol", "0.2499"])
+    assert code == 0
+    assert payload["result"]["classification"] == expected
+
+
 def test_frame_commands(capsys):
     _, bell, _ = _run_json(capsys, ["frame", "bell"])
     assert bell["result"]["kind"] == "bell"
@@ -391,6 +405,8 @@ def test_negative_scientific_notation_is_a_value(capsys):
         (["twirl", "--samples", "3", "--workers", "two"], "argument --workers: must be an integer >= 1, got two"),
         (["classify", "--state", "1,0", "--split", "1x1", "--tol", "abc"], "argument --tol: must be a finite number, got abc"),
         (["frame", "theta", "--theta", "abc"], "argument --theta: must be a finite number, got abc"),
+        (["classify", "--state", "1,0", "--split", "1x1", "--tol", "0.25"], "argument --tol: must lie in (0, 0.25), got 0.25"),
+        (["classify", "--state", "1,0", "--split", "1x1", "--tol", "0"], "argument --tol: must lie in (0, 0.25), got 0"),
     ],
 )
 def test_bad_input_message_names_the_problem(capsys, argv, message):

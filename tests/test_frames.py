@@ -131,6 +131,25 @@ def test_classify_trivial_split_prefers_product():
     assert classify(state, BipartiteSplit(4, 1)) is Entanglement.PRODUCT
 
 
+def _schmidt_state(params) -> StateVector:
+    # sqrt(p0)|00> + sqrt(p1)|11> has Schmidt parameters (p0, p1) on the 2x2 split
+    return StateVector(np.sqrt(np.array([params[0], 0, 0, params[1]], dtype=complex)))
+
+
+def test_classify_keeps_the_classes_apart_below_a_quarter():
+    tol = 0.2499
+    assert classify(StateVector(BELLS["phi+"]), S22, tol) is Entanglement.MAXIMALLY_ENTANGLED
+    assert classify(StateVector.basis(4, 0), S22, tol) is Entanglement.PRODUCT
+    assert classify(_schmidt_state((0.75, 0.25)), S22, tol) is Entanglement.ENTANGLED
+
+
+@pytest.mark.parametrize("tol", [0.25, 0.3, 0.6, 0.0, -1e-3, np.nan])
+def test_classify_rejects_a_tolerance_at_which_a_state_passes_both_tests(tol):
+    # at 1/4 the parameters (3/4, 1/4) are within tol of product and of maximally entangled alike
+    with pytest.raises(ValueError, match=re.escape("tol must lie in (0, 1/4)")):
+        classify(_schmidt_state((0.75, 0.25)), S22, tol)
+
+
 def test_classify_invariant_under_elements():
     rng = seeded(9)
     states = [UPSILON, StateVector(BELLS["psi-"]),
@@ -149,6 +168,13 @@ def test_element_validation():
         MeronomicElement(Operator(np.diag([1.0, 0.5]).astype(complex)), good)
     with pytest.raises(ValueError):
         MeronomicElement(good, Operator(np.eye(3, dtype=complex)), swap=True)
+
+
+def test_element_names_the_factor_type_it_expects():
+    with pytest.raises(TypeError, match="factors must be Operators, got ndarray and ndarray"):
+        MeronomicElement(np.eye(2), np.eye(2))
+    with pytest.raises(TypeError, match="factors must be Operators, got Operator and list"):
+        MeronomicElement(Operator.identity(2), [[1, 0], [0, 1]])
 
 
 def test_apply_identity_element():

@@ -241,6 +241,12 @@ def test_random_states_validation_matches_haar(dims, dim, count):
         random_states(dims, count, seeded(0))
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2), ()])
+def test_random_states_takes_one_or_two_dims(dims):
+    with pytest.raises(ValueError, match=re.escape(f"dims must be (d,) or (d1, d2), got {dims}")):
+        random_states(dims, 1, seeded(0))
+
+
 @pytest.mark.parametrize(
     "draw", [lambda rng: list(sample_m_chunks(S22, -3, rng)), lambda rng: random_m_elements(S23, -3, rng)],
     ids=["m_chunks", "m_elements"],

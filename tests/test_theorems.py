@@ -379,25 +379,23 @@ def test_suite_draw_order_is_pinned(suite, trials, next_draw):
     assert rng.random() == next_draw
 
 
-def test_suites_accept_fixed_elements():
+def test_suites_pass_on_injected_members(inject_elements):
     eye = MeronomicElement.identity(S22)
     swapped = MeronomicElement(Operator.identity(2), Operator.identity(2), swap=True)
-    assert check_theorem1_suite(1, seeded(0), elements=[eye]).passed
-    assert check_theorem2_suite(2, seeded(0), elements=[eye, swapped]).passed
+    inject_elements(eye, MeronomicElement.identity(BipartiteSplit(2, 3)))
+    assert check_theorem1_suite(1, seeded(0)).passed
+    inject_elements(eye, swapped)
+    assert check_theorem2_suite(2, seeded(0)).passed
 
 
 def test_theorem1_suite_names_the_splits_that_ran():
-    e22, e33 = MeronomicElement.identity(S22), MeronomicElement.identity(BipartiteSplit(3, 3))
     assert check_theorem1_suite(2, seeded(0)).detail == "2 trials on splits 2x2 and 2x3 passed"
-    assert check_theorem1_suite(2, seeded(0), elements=[e33]).detail == "2 trials on split 3x3 passed"
-    assert check_theorem1_suite(2, seeded(0), elements=[e33, e22]).detail == "2 trials on splits 3x3 and 2x2 passed"
-    # the 3x3 element is never reached in one trial
-    assert check_theorem1_suite(1, seeded(0), elements=[e22, e33]).detail == "1 trials on split 2x2 passed"
 
 
-def test_suites_fail_on_injected_fault():
+def test_suites_fail_on_injected_fault(inject_elements):
     for suite in (check_theorem1_suite, check_theorem2_suite):
-        verdict = suite(1, seeded(0), elements=[_faulted_element()])
+        inject_elements(_faulted_element())
+        verdict = suite(1, seeded(0))
         assert not verdict.passed
         assert verdict.witness is not None
         assert "trial 0" in verdict.detail
@@ -410,11 +408,12 @@ def test_suites_fail_on_injected_fault():
         (check_theorem2_suite, "trial 0 on 2x2: element moved a maximally entangled state off the maximal set"),
     ],
 )
-def test_suites_report_an_element_that_annihilates_the_probe(suite, detail):
+def test_suites_report_an_element_that_annihilates_the_probe(inject_elements, suite, detail):
     # a zero factor sends every probe to the zero vector, which has no normalized image
     elem = MeronomicElement.identity(S22)
     object.__setattr__(elem, "w", Operator(np.zeros((2, 2), dtype=complex)))
-    verdict = suite(1, seeded(0), elements=[elem])
+    inject_elements(elem)
+    verdict = suite(1, seeded(0))
     assert not verdict.passed
     assert verdict.detail == detail
     assert verdict.witness.shape == (4,)
@@ -428,35 +427,52 @@ def _scaled_element(split: BipartiteSplit) -> MeronomicElement:
     return elem
 
 
-def test_theorem1_suite_reports_the_smallest_failing_trial():
-    s23 = BipartiteSplit(2, 3)
-    good = MeronomicElement.identity(s23)
-    late_fault = MeronomicElement.identity(s23)
-    object.__setattr__(late_fault, "w", Operator(np.diag([1.0, 0.5, 0.25]).astype(complex)))
-    verdict = check_theorem1_suite(5, seeded(0), elements=[good, good, _faulted_element(), good, late_fault])
+def _late_fault() -> MeronomicElement:
+    # a 2x3 element that fails the Schmidt check
+    elem = MeronomicElement.identity(BipartiteSplit(2, 3))
+    object.__setattr__(elem, "w", Operator(np.diag([1.0, 0.5, 0.25]).astype(complex)))
+    return elem
+
+
+def test_theorem1_suite_reports_the_smallest_failing_trial(inject_elements):
+    good, good23 = MeronomicElement.identity(S22), MeronomicElement.identity(BipartiteSplit(2, 3))
+    inject_elements(good, good, _faulted_element(), good, good, good23, good23, good23, good23, _late_fault())
+    verdict = check_theorem1_suite(5, seeded(0))
     assert not verdict.passed
     assert verdict.detail.startswith("trial 2 on 2x2: Schmidt parameters drifted by")
 
 
-def test_theorem1_suite_reports_a_fault_in_the_second_stack():
+def test_theorem1_suite_reports_a_fault_on_the_2x3_split(inject_elements):
+    # the 2x2 row of trial 0 passes first, so the 2x3 fault is the first failure
+    inject_elements(_late_fault())
+    verdict = check_theorem1_suite(1, seeded(0))
+    assert verdict.detail.startswith("trial 0 on 2x3: Schmidt parameters drifted by")
+    assert verdict.witness.shape == (6,)
+
+
+def test_theorem1_suite_reports_a_fault_in_the_second_stack(inject_elements):
     good = MeronomicElement.identity(S22)
-    verdict = check_theorem1_suite(130, seeded(0), elements=[good] * 70 + [_faulted_element()])
+    inject_elements(*[good] * 70, _faulted_element())
+    verdict = check_theorem1_suite(130, seeded(0))
     assert verdict.detail.startswith("trial 70 on 2x2: Schmidt parameters drifted by ")
     assert verdict.witness.shape == (4,)
 
 
-def test_theorem2_suite_reports_a_fault_in_the_second_stack():
+def test_theorem2_suite_reports_a_fault_in_the_second_stack(inject_elements):
     good = MeronomicElement.identity(S22)
-    verdict = check_theorem2_suite(130, seeded(0), elements=[good] * 70 + [_faulted_element()])
+    inject_elements(*[good] * 70, _faulted_element())
+    verdict = check_theorem2_suite(130, seeded(0))
     assert verdict.detail == "trial 70 on 2x2: element moved a maximally entangled state off the maximal set"
     assert verdict.witness.shape == (4,)
 
 
-def test_theorem1_suite_checks_schmidt_before_membership():
+def test_theorem1_suite_checks_schmidt_before_membership(inject_elements):
     # the faulted element fails both checks, the scaled one only membership
-    verdict = check_theorem1_suite(1, seeded(0), elements=[_faulted_element()])
+    inject_elements(_faulted_element())
+    verdict = check_theorem1_suite(1, seeded(0))
     assert verdict.detail.startswith("trial 0 on 2x2: Schmidt parameters drifted by")
-    verdict = check_theorem1_suite(1, seeded(0), elements=[_scaled_element(S22)])
+    inject_elements(_scaled_element(S22))
+    verdict = check_theorem1_suite(1, seeded(0))
     rejected = "membership test rejected the element: membership test requires a unitary input"
     assert verdict.detail == f"trial 0 on 2x2: {rejected}"
 
