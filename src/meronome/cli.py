@@ -1,7 +1,8 @@
 """Command-line driver: every experiment runnable with a seed and machine-readable output.
 
 Output is one JSON object (or flattened CSV rows) on stdout or --out.  With a
-fixed seed the payload is reproducible apart from the elapsed_ms field.
+fixed seed the payload is reproducible apart from the elapsed_ms field.  Every
+value is parsed and checked once, a --split into a BipartiteSplit, before the handler runs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from . import frames, linalg, protocols, sampling, theorems
 
 
 def _json_default(value):
-    """Enums by value, dataclasses by field, complex as [re, im], numpy through tolist()."""
+    """Enums by value, a split as its d1xd2 text, dataclasses by field, complex as [re, im], numpy through tolist()."""
+    if isinstance(value, linalg.BipartiteSplit):
+        return str(value)
     if isinstance(value, enum.Enum):
         return value.value
     if dataclasses.is_dataclass(value):
@@ -79,52 +82,38 @@ def _parse_state(text: str) -> np.ndarray:
     return np.array(amps, dtype=np.complex128)
 
 
-def _parse_split(text: str) -> linalg.BipartiteSplit:
-    match = re.fullmatch(r"(\d+)x(\d+)", text)
-    if not match:
-        raise ValueError(f"bad split {text!r}; expected d1xd2")
-    return linalg.BipartiteSplit(int(match[1]), int(match[2]))
-
-
-def _load_state(args) -> tuple[linalg.StateVector, linalg.BipartiteSplit, float]:
-    split = _parse_split(args.split)
+def _load_state(args) -> tuple[linalg.StateVector, float]:
     amps = _parse_state(_read_state_text(args.state))
-    if amps.shape[0] != split.dim:
-        raise ValueError(f"state has {amps.shape[0]} amplitudes, split wants {split.dim}")
+    if amps.shape[0] != args.split.dim:
+        raise ValueError(f"state has {amps.shape[0]} amplitudes, split wants {args.split.dim}")
     with np.errstate(over="ignore"):
         norm = float(np.hypot.reduce(np.abs(amps)))  # no underflow; overflows only past the float range
     if math.isinf(norm) and np.isfinite(amps).all():
         raise ValueError(f"state norm exceeds the largest float ({sys.float_info.max:.6g}); rescale the amplitudes")
-    return linalg.StateVector.normalized(amps), split, norm
+    return linalg.StateVector.normalized(amps), norm
 
 
 # ---------------------------------------------------------------- handlers
 
 def _cmd_schmidt(args):
-    state, split, norm = _load_state(args)
-    dec = frames.schmidt_decompose(state, split)
+    state, norm = _load_state(args)
+    dec = frames.schmidt_decompose(state, args.split)
     err = float(np.linalg.norm(dec.reconstruct().amps - state.amps))
     return {"input_norm": norm, "params": dec.params, "reconstruction_error": err}, False
 
 
 def _cmd_classify(args):
-    state, split, norm = _load_state(args)
-    dec = frames.schmidt_decompose(state, split)
-    cls = frames.classify(state, split, args.tol)
+    state, norm = _load_state(args)
+    dec = frames.schmidt_decompose(state, args.split)
+    cls = frames.classify(state, args.split, args.tol)
     return {"input_norm": norm, "classification": cls, "params": dec.params}, False
 
 
 def _cmd_frame(args):
     if args.kind == "bell":
-        if args.theta is not None:
-            raise ValueError("--theta applies only to frame theta")
-        u = frames.bell_frame_unitary()
-        result = {"kind": "bell"}
+        u, result = frames.bell_frame_unitary(), {"kind": "bell"}
     else:
-        if args.theta is None:
-            raise ValueError("frame theta requires --theta")
-        u = frames.theta_frame_unitary(args.theta)
-        result = {"kind": "theta", "theta": args.theta}
+        u, result = frames.theta_frame_unitary(args.theta), {"kind": "theta", "theta": args.theta}
     result.update({"unitary": u.entries, "unitary_defect": linalg.unitary_defect(u.entries)})
     return result, False
 
@@ -146,13 +135,13 @@ def _cmd_pauli_table(args):
 
 
 def _cmd_twirl(args):
-    split = _parse_split(args.split)
+    split = args.split
     psi = linalg.StateVector(np.eye(split.d1, split.d2).reshape(-1) / math.sqrt(min(split.d1, split.d2)))
     est = sampling.twirl_monte_carlo(psi, split, args.samples, sampling.seeded(args.seed), args.workers)
     est.flat[:: split.dim + 1] -= 1.0 / split.dim  # the exact twirl of every input is the maximally mixed 1/D
     return {
         "samples": args.samples,
-        "split": f"{split.d1}x{split.d2}",
+        "split": str(split),
         "frobenius_distance_to_uniform": float(np.linalg.norm(est)),
     }, False
 
@@ -294,17 +283,20 @@ def _integer(minimum: int, maximum: float = math.inf):
 
 
 def _split(factor_cap: float = math.inf):
-    """argparse type for a d1xd2 split with d1, d2 <= factor_cap; it returns the text, which config echoes."""
+    """argparse type for a d1xd2 split with d1, d2 <= factor_cap: the one parse, into the BipartiteSplit handlers read."""
 
-    def split(text: str) -> str:
+    def split(text: str) -> linalg.BipartiteSplit:
+        match = re.fullmatch(r"(\d+)x(\d+)", text)
         try:
-            parsed = _parse_split(text)
-        except ValueError as exc:
+            if not match:
+                raise ValueError(f"bad split {text!r}; expected d1xd2")
+            parsed = linalg.BipartiteSplit(int(match[1]), int(match[2]))
+        except ValueError as exc:  # a 0 factor: BipartiteSplit's own message
             raise argparse.ArgumentTypeError(str(exc)) from None
         for name, d in (("d1", parsed.d1), ("d2", parsed.d2)):
             if d > factor_cap:
                 raise argparse.ArgumentTypeError(f"{name} must be at most {factor_cap}, got {text}")
-        return text
+        return parsed
 
     return split
 
@@ -336,10 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_classify_tol, default=linalg.TOL_ALGEBRA, help="tolerance in (0, 0.25) (default %(default)g)")
     p.set_defaults(handler=_cmd_classify)
 
-    p = sub.add_parser("frame", parents=[output], help="frame-change unitaries")
-    p.add_argument("kind", choices=("bell", "theta"))
-    p.add_argument("--theta", type=_finite_float(), default=None)
+    p = sub.add_parser("frame", help="frame-change unitaries")
     p.set_defaults(handler=_cmd_frame)
+    kinds = p.add_subparsers(dest="kind", required=True)  # kinds alone take --format/--out: their defaults overwrite frame's
+    kinds.add_parser("bell", parents=[output], help="the Bell-basis frame")
+    kinds.add_parser("theta", parents=[output], help="the theta family").add_argument(
+        "--theta", type=_finite_float(), required=True)
 
     p = sub.add_parser("pauli-table", parents=[output], help="Bell-frame Pauli dictionary")
     p.set_defaults(handler=_cmd_pauli_table)
@@ -364,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("refframe", parents=[seeded], help="symmetric-subspace reference measurement")
     p.add_argument("--n", type=_integer(1), required=True, help="number of reference copies")
-    p.add_argument("--dim", type=_integer(2, _DENSE_DIM_CAP), required=True)
+    p.add_argument("--dim", type=_integer(2, math.isqrt(protocols._DIM_CAP)), required=True)  # dim^(n+1) <= the cap at n = 1
     p.set_defaults(handler=_cmd_refframe)
 
     p = sub.add_parser("ordering", parents=[output], help="pair-ordering discrimination signals")
@@ -379,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_integer(1), required=True)
     p.set_defaults(handler=_cmd_verify)
 
-    for p in sub.choices.values():  # argparse alone reads -1e3 and -inf as options, not values
+    for p in [*sub.choices.values(), *kinds.choices.values()]:  # argparse alone reads -1e3 and -inf as options, not values
         p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
         p.set_defaults(error=p.error)  # leftover words and handler errors go out under the subcommand's usage
     return parser

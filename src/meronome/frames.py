@@ -127,7 +127,7 @@ class ElementStack:
         a state's amplitudes as (d1, d2), the swap is Psi^T and v (x) w is v Psi w^T.  Nothing is renormalized."""
         (n, d1, _), d2 = self.v.shape, self.w.shape[1]
         if amps.ndim < 2 or amps.shape[0] != n or amps.shape[-1] != d1 * d2:
-            raise ValueError(f"a stack of {n} on {d1}x{d2} acts on amplitudes ({n}, ..., {d1 * d2}), got {amps.shape}")
+            raise ValueError(f"a stack of {n} on {self.split} acts on amplitudes ({n}, ..., {d1 * d2}), got {amps.shape}")
         psi = amps.reshape(*amps.shape[:-1], d1, d2)
         row = (slice(None),) + (None,) * (psi.ndim - 3)  # element i broadcast over the extra axes of amps[i]
         return _factor_action(self.v[row], self.w[row], self.swaps[row + (None, None)], psi).reshape(amps.shape)
@@ -211,7 +211,7 @@ class MembershipResult:
 def schmidt_decompose(state: StateVector, split: BipartiteSplit) -> SchmidtDecomposition:
     """Schmidt data of a pure state with respect to a bipartite split."""
     if state.dim != split.dim:
-        raise ValueError(f"state dim {state.dim} does not match split {split.d1}x{split.d2}")
+        raise ValueError(f"state dim {state.dim} does not match split {split}")
     mat = state.amps.reshape(split.d1, split.d2)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     left, phases = phase_fix(u)
@@ -241,7 +241,7 @@ def apply_element(elem: MeronomicElement, state: StateVector, split: BipartiteSp
     if elem.split != split:
         raise ValueError(f"element acts on {elem.split}, state split is {split}")
     if state.dim != split.dim:
-        raise ValueError(f"state dim {state.dim} does not match split {split.d1}x{split.d2}")
+        raise ValueError(f"state dim {state.dim} does not match split {split}")
     return StateVector(ElementStack.from_elements([elem]).act(state.amps[None])[0])
 
 
@@ -339,8 +339,10 @@ def factor_as_local(u: Operator, split: BipartiteSplit, tol: float = TOL_EIGEN) 
     (only possible for d1 == d2), each only when the factors reconstruct u
     up to phase with residual <= tol.  Anything else is NotMember.
     """
+    if not 0.0 < tol < 1.0:  # the rank-one shortcut s0^2 < (1 - tol) * D means nothing from 1 on
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if u.dim != split.dim:
-        raise ValueError(f"operator dim {u.dim} does not match split {split.d1}x{split.d2}")
+        raise ValueError(f"operator dim {u.dim} does not match split {split}")
     if not unitary_defect(u.entries) <= max(tol, TOL_ALGEBRA):
         raise ValueError("membership test requires a unitary input")
 

@@ -73,7 +73,10 @@ class BipartiteSplit:
 
     def __post_init__(self):
         if self.d1 < 1 or self.d2 < 1:
-            raise ValueError(f"subsystem dimensions must be >= 1, got {self.d1}x{self.d2}")
+            raise ValueError(f"subsystem dimensions must be >= 1, got {self}")
+
+    def __str__(self) -> str:
+        return f"{self.d1}x{self.d2}"  # the d1xd2 text the CLI reads and every message and payload writes
 
     @property
     def dim(self) -> int:

@@ -63,12 +63,13 @@ def superdense_round(d: int, bit: int, rng: np.random.Generator) -> SuperdenseRe
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
+    shift = shift_unitary(d)  # before any draw: it rejects d < 2, where no bit can be sent
     split = BipartiteSplit(d, d)
     shared = random_maxent_state(d, rng)
     scramble = random_m_element(split, rng)
     shared = apply_element(scramble, shared, split)
 
-    sent = StateVector((shift_unitary(d).entries @ shared.amps.reshape(d, d)).reshape(-1)) if bit == 1 else shared
+    sent = StateVector((shift.entries @ shared.amps.reshape(d, d)).reshape(-1)) if bit == 1 else shared
 
     overlap = shared.overlap(sent)
     p_same = abs(overlap) ** 2

@@ -167,7 +167,7 @@ def twirl_monte_carlo(
     is symmetrized and scaled in place; positive semidefinite by construction, it is returned unvalidated.
     """
     if rho.dim != split.dim:
-        raise ValueError(f"rho dim {rho.dim} does not match split {split.d1}x{split.d2}")
+        raise ValueError(f"rho dim {rho.dim} does not match split {split}")
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
     if workers < 1:

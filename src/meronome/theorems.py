@@ -218,7 +218,7 @@ def _run_suite(trials, rng, splits, draw_probes, check, nonmember) -> Optional[V
             if verdict.passed and factor_as_local(candidate, split).verdict is Membership.NOT_MEMBER:
                 verdict = nonmember(candidate, split, rng)
             if not verdict.passed:
-                return Verdict(False, f"trial {t} on {split.d1}x{split.d2}: {verdict.detail}", verdict.witness)
+                return Verdict(False, f"trial {t} on {split}: {verdict.detail}", verdict.witness)
     return None
 
 

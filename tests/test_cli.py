@@ -36,7 +36,8 @@ SEEDED_KEYS = OUTPUT_KEYS | {"seed"}
 SCHEMA_CASES = [
     (["schmidt", "--state", PHI_PLUS_TEXT, "--split", "2x2"], OUTPUT_KEYS | {"state", "split"}),
     (["classify", "--state", PHI_PLUS_TEXT, "--split", "2x2"], OUTPUT_KEYS | {"state", "split", "tol"}),
-    (["frame", "bell"], OUTPUT_KEYS | {"kind", "theta"}),
+    (["frame", "bell"], OUTPUT_KEYS | {"kind"}),
+    (["frame", "theta", "--theta", "0.5"], OUTPUT_KEYS | {"kind", "theta"}),
     (["pauli-table"], OUTPUT_KEYS),
     (["twirl", "--samples", "10"], SEEDED_KEYS | {"workers", "samples", "split"}),
     (["superdense", "--dim", "2", "--trials", "1"], SEEDED_KEYS | {"dim", "trials"}),
@@ -236,6 +237,27 @@ def test_refframe_command(capsys):
     assert result["orthogonal_probability"] == pytest.approx(0.1, abs=1e-9)
 
 
+def test_refframe_runs_at_the_dim_cap(capsys):
+    code, payload, _ = _run_json(capsys, ["refframe", "--n", "1", "--dim", "64"])  # 64^(1+1) = 4096, the dense cap
+    assert code == 0
+    assert payload["result"]["agreement_error"] < 1e-10
+
+
+@pytest.mark.parametrize(
+    "argv,split",
+    [
+        (["twirl", "--samples", "10", "--split", "3x3"], "3x3"),
+        (["twirl", "--samples", "10"], "2x2"),  # the default, parsed like a given split
+        (["schmidt", "--state", PHI_PLUS_TEXT, "--split", "2x2"], "2x2"),
+    ],
+)
+def test_config_echoes_the_split_as_its_text(capsys, argv, split):
+    code, payload, _ = _run_json(capsys, argv)
+    assert code == 0
+    assert payload["config"]["split"] == split
+    assert payload["result"].get("split", split) == split
+
+
 def test_ordering_command(capsys):
     _, payload, _ = _run_json(capsys, ["ordering"])
     result = payload["result"]
@@ -332,7 +354,7 @@ def test_csv_format(capsys):
         ["lambda", "--lambda", "-1e3", "--shots", "10"],
         ["twirl", "--samples", "10", "--split", "33x32"],         # d1 above the twirl factor cap
         ["verify", "--suite", "thm1", "--trials", "5", "--seed", "-1"],
-        ["frame", "bell", "--theta", "1"],                        # --theta would be echoed but never read
+        ["frame", "bell", "--theta", "1"],                        # --theta is an option of frame theta alone
         ["schmidt", "--state", "1,0 0,0", "--split", "2x3x4"],
         ["twirl", "--samples", "10", "--split", "2x"],
         ["classify", "--state", "@/nonexistent/file", "--split", "2x2"],  # unreadable --state file
@@ -383,14 +405,14 @@ def test_negative_scientific_notation_is_a_value(capsys):
             ["verify", "--suite", "thm1", "--trials", "5", "--seed", "-1"],
             "argument --seed: must be an integer >= 0, got -1",
         ),
-        (["frame", "bell", "--theta", "1"], "--theta applies only to frame theta"),
+        (["frame", "bell", "--theta", "1"], "unrecognized arguments: --theta 1"),
         (["schmidt", "--state", "1,0 0,0", "--split", "2x3x4"], "bad split '2x3x4'; expected d1xd2"),
         (["twirl", "--samples", "10", "--split", "2x"], "argument --split: bad split '2x'; expected d1xd2"),
         (["classify", "--state", "@/nonexistent/file", "--split", "2x2"], "/nonexistent/file: No such file or directory"),
         (["schmidt", "--state", "@/", "--split", "2x2"], "/: Is a directory"),
         (["ordering", "--out", "/nonexistent/dir/x.json"], "/nonexistent/dir/x.json: No such file or directory"),
         (["superdense", "--dim", "1025", "--trials", "1"], "argument --dim: must be at most 1024, got 1025"),
-        (["refframe", "--n", "1", "--dim", "1025"], "argument --dim: must be at most 1024, got 1025"),
+        (["refframe", "--n", "1", "--dim", "100"], "--dim: must be at most 64, got 100"),  # dim^(n+1) > 4096
         (["twirl", "--samples", "3", "--workers", "65"], "argument --workers: must be at most 64, got 65"),  # parse time
         (["symspan", "--samples", "50001"], "argument --samples: must be at most 50000, got 50001"),
         (["symspan", "--samples", "19"], "argument --samples: must be an integer >= 20, got 19"),  # parse time
@@ -407,6 +429,7 @@ def test_negative_scientific_notation_is_a_value(capsys):
         (["frame", "theta", "--theta", "abc"], "argument --theta: must be a finite number, got abc"),
         (["classify", "--state", "1,0", "--split", "1x1", "--tol", "0.25"], "argument --tol: must lie in (0, 0.25), got 0.25"),
         (["classify", "--state", "1,0", "--split", "1x1", "--tol", "0"], "argument --tol: must lie in (0, 0.25), got 0"),
+        (["refframe", "--n", "1", "--dim", "65"], "argument --dim: must be at most 64, got 65"),
     ],
 )
 def test_bad_input_message_names_the_problem(capsys, argv, message):
@@ -437,14 +460,17 @@ def test_handler_error_prints_its_subcommands_usage(capsys):
         (["ordering", "--out", "/nonexistent/dir/x.json"], "/nonexistent/dir/x.json: No such file or directory"),
         (["schmidt", "--state", "1,0", "0,0", "--split", "2x1"], "unrecognized arguments: 0,0"),  # unquoted state
         (["frame", "bell", "extra"], "unrecognized arguments: extra"),
+        (["frame", "theta"], "the following arguments are required: --theta"),
+        (["frame", "theta", "--theta", "x"], "argument --theta: must be a finite number, got x"),
     ],
 )
 def test_every_error_reads_under_its_subcommand(capsys, argv, message):
     code = cli.run(argv)
     lines = capsys.readouterr().err.splitlines()
+    command = " ".join(argv[:2] if argv[0] == "frame" else argv[:1])  # each frame kind is a subcommand of its own
     assert code == 2
-    assert lines[0].startswith(f"usage: meronome {argv[0]} ")
-    assert lines[-1] == f"meronome {argv[0]}: error: {message}"
+    assert lines[0].startswith(f"usage: meronome {command} ")
+    assert lines[-1] == f"meronome {command}: error: {message}"
 
 
 def test_non_finite_state_exits_2(capsys):
@@ -483,9 +509,9 @@ def test_help_exits_0(capsys):
     assert "meronome" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", [argv[0] for argv, _ in SCHEMA_CASES])
+@pytest.mark.parametrize("command", [*dict.fromkeys(argv[0] for argv, _ in SCHEMA_CASES), "frame bell", "frame theta"])
 def test_subcommand_help_exits_0(capsys, command):
-    assert cli.run([command, "--help"]) == 0
+    assert cli.run([*command.split(), "--help"]) == 0
     assert f"usage: meronome {command}" in capsys.readouterr().out
 
 

@@ -278,7 +278,7 @@ def test_element_stack_act_takes_one_state_row_per_element():
 
 def test_apply_element_split_mismatch():
     elem = MeronomicElement.identity(S22)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^element acts on 2x2, state split is 2x3$"):
         apply_element(elem, random_state(6, seeded(0)), BipartiteSplit(2, 3))
 
 
@@ -418,6 +418,14 @@ def test_member_verdict_means_residual_within_tol(seed, log_eps, shape, tol):
         assert result.residual > tol
     else:
         assert result.residual <= tol
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, 2.0])
+def test_factor_as_local_rejects_a_tol_outside_the_unit_interval(tol):
+    # Outside (0, 1) a verdict means nothing: at -1 the identity is NotMember, at 2 a Haar unitary is Local.
+    for u in (Operator.identity(4), Operator(haar_unitary_batch(4, 1, seeded(0))[0])):
+        with pytest.raises(ValueError, match=re.escape(f"tol must lie in (0, 1), got {tol}")):
+            factor_as_local(u, S22, tol)
 
 
 def test_factor_swap_matrix():

@@ -111,6 +111,14 @@ def test_superdense_validation():
         superdense_round(2, 2, seeded(0))
 
 
+@pytest.mark.parametrize("bit", [0, 1])
+def test_superdense_rejects_dimension_one_before_drawing(bit):
+    rng = seeded(0)
+    with pytest.raises(ValueError, match="dimension >= 2, got 1"):
+        superdense_round(1, bit, rng)
+    assert rng.random() == seeded(0).random()  # the stream is where it started
+
+
 # ---------------------------------------------------------------- invariant state
 
 def test_lambda_state_amplitudes():
