@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Run every verification suite across several seeds and report verdicts.
+"""Run every verification suite of `meronome verify` across several seeds and report verdicts.
 
 Exits nonzero if any suite fails, printing the failing detail and the
 shape of the witness it returned.
@@ -9,15 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from meronome.cli import _integer
+from meronome.cli import _SUITES, _integer
 from meronome.sampling import seeded
-from meronome.theorems import check_lemmas_suite, check_theorem1_suite, check_theorem2_suite
-
-SUITES = {
-    "schmidt-preservation": check_theorem1_suite,
-    "maxent-preservation": check_theorem2_suite,
-    "superposition-lemmas": check_lemmas_suite,
-}
 
 
 def main() -> int:
@@ -27,11 +20,11 @@ def main() -> int:
     args = parser.parse_args()
 
     failures = 0
-    for name, suite in SUITES.items():
+    for name, suite in _SUITES.items():
         for seed in args.seeds:
             verdict = suite(args.trials, seeded(seed))
             status = "ok" if verdict.passed else "FAIL"
-            print(f"{name:<24} seed={seed:<4} {status}  {verdict.detail}")
+            print(f"{name:<8} seed={seed:<4} {status}  {verdict.detail}")
             if not verdict.passed:
                 failures += 1
                 if verdict.witness is not None:

@@ -181,6 +181,7 @@ def _cmd_lambda(args):
 
 
 def _cmd_refframe(args):
+    protocols._sym_classes(args.dim, args.n + 1)  # raises at the joint dense cap before any draw; the table is cached
     rng = sampling.seeded(args.seed)
     psi = sampling.random_state(args.dim, rng)
     phi = sampling.random_state(args.dim, rng)

@@ -10,9 +10,10 @@ with reproducible witnesses instead of raising, so they can run as suites.
 Both theorem suites run through one driver, which draws each split's group
 elements (one ElementStack from random_m_elements, which tests replace to
 inject faults), probes and Haar candidates in stacks; a non-member check
-draws its PROBES probes up front.  Schmidt drift (theorem 1) and maximal
-entanglement (theorem 2: elements at TOL_ALGEBRA, rejected Haar unitaries at
-TOL_EIGEN) are judged by one SVD over all probes and images.
+draws its PROBES probes up front.  One check, schmidt_preservation_check,
+judges both suites' group elements at TOL_ALGEBRA by the Schmidt drift of their
+probes (one per row, or PROBES maximally entangled ones for theorem 2, where
+drift is the classify test up to roundoff), from one SVD over a whole stack.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ _SQRT2 = np.sqrt(2.0)
 _S22 = BipartiteSplit(2, 2)
 
 # Verdicts on classes, (anti-)Hermiticity and membership residuals use TOL_EIGEN (1e-8); true ones hold to ~1e-15.
-TOL_DRIFT = 1e-9  # Schmidt parameters are squared singular values of a unit-norm matrix: a decade below TOL_EIGEN
+# A group element's Schmidt drift is judged at TOL_ALGEBRA (1e-10): at most 1.7e-15 in 20 seeds x 1000 trials per suite.
 PROBES = 20  # probes per non-member check: one random probe already exposes a Haar non-member almost surely
 _STACK = 64  # trials per stacked draw: amortizes numpy's per-call cost; larger stacks raise peak memory
 
@@ -139,21 +140,19 @@ def _schmidt_drifts(states: np.ndarray, images: np.ndarray, split: BipartiteSpli
     return np.abs(before - after / np.where(gone, 1.0, norms)[..., None]).max(axis=-1), gone
 
 
-def _breaks_maximality(probes: np.ndarray, images: np.ndarray, tol: float) -> np.ndarray:
-    """Per maximally entangled two-qubit probe: is its image zero or, renormalized, not maximally entangled at tol?
-    The probe's Schmidt parameters are 1/2 each, so its drift is the classify test up to roundoff."""
-    drifts, gone = _schmidt_drifts(probes, images, _S22)
-    return gone | ~(drifts <= tol)
-
-
 def schmidt_preservation_check(elems: ElementStack, states: np.ndarray) -> list[Verdict]:
-    """Does each element keep the (sorted) Schmidt parameters of its probe, row i of `states`?  One verdict per row."""
+    """Does each element keep the sorted Schmidt parameters of its probes, row i of `states` ((n, D) or (n, k, D))?
+    One verdict per row, on its largest drift; its witness is the first annihilated probe, else the first drifted."""
     drifts, gone = _schmidt_drifts(states, elems.act(states), elems.split)
+    if states.ndim == 2:  # one probe per row, as a row of one
+        states, drifts, gone = states[:, None], drifts[:, None], gone[:, None]
+    first = (2 * gone + ~(drifts <= TOL_ALGEBRA)).argmax(axis=1)  # annihilated outranks drifted outranks kept
+    witnesses = states[np.arange(len(states)), first]
     return [
         Verdict(False, "element annihilated the probe state", witness=state) if dead
-        else Verdict(True, f"Schmidt parameters preserved (max drift {drift:.2e})") if drift <= TOL_DRIFT
-        else Verdict(False, f"Schmidt parameters drifted by {drift:.2e} > {TOL_DRIFT}", witness=state)
-        for state, drift, dead in zip(states, drifts.tolist(), gone.tolist())
+        else Verdict(True, f"Schmidt parameters preserved (max drift {drift:.2e})") if drift <= TOL_ALGEBRA
+        else Verdict(False, f"Schmidt parameters drifted by {drift:.2e} > {TOL_ALGEBRA}", witness=state)
+        for state, drift, dead in zip(witnesses, drifts.max(axis=1).tolist(), gone.any(axis=1).tolist())
     ]
 
 
@@ -186,11 +185,12 @@ def nonmember_product_check(u: Operator, split: BipartiteSplit, rng: np.random.G
     return Verdict(False, f"all {PROBES} product probes stayed product", witness=u.entries)
 
 
-def nonmember_maxent_check(u: Operator, rng: np.random.Generator) -> Verdict:
-    """A rejected two-qubit unitary must break maximal entanglement (at TOL_EIGEN) on one of PROBES probes drawn up
-    front, all judged by one SVD."""
-    probes = random_maxent_states(2, PROBES, rng)
-    if _breaks_maximality(probes, probes @ u.entries.T, TOL_EIGEN).any():
+def nonmember_maxent_check(u: Operator, split: BipartiteSplit, rng: np.random.Generator) -> Verdict:
+    """A rejected unitary on a d x d split must break maximal entanglement on one of PROBES probes drawn up front: its
+    image is zero or, renormalized, has Schmidt parameters off 1/d by more than TOL_EIGEN.  One SVD judges them all."""
+    probes = random_maxent_states(split.d1, PROBES, rng)
+    drifts, gone = _schmidt_drifts(probes, probes @ u.entries.T, split)
+    if (gone | ~(drifts <= TOL_EIGEN)).any():
         return Verdict(True, "found a maximally entangled state mapped off the maximal set")
     return Verdict(False, f"all {PROBES} maximally entangled probes stayed maximal", witness=u.entries)
 
@@ -245,19 +245,13 @@ def check_theorem2_suite(trials: int, rng: np.random.Generator) -> Verdict:
     """Sampled check that, on two qubits, exactly the decomposition-preserving
     unitaries preserve maximal entanglement.
 
-    Group elements must map PROBES random maximally entangled states to
-    maximally entangled ones, judged at TOL_ALGEBRA; rejected Haar unitaries
-    must break maximality on one of PROBES probes, judged at TOL_EIGEN.
-    Each stack's probes are judged by one SVD.
+    Group elements must keep the Schmidt parameters of PROBES random
+    maximally entangled states (schmidt_preservation_check, as in theorem 1);
+    rejected Haar unitaries must break maximality on one of PROBES probes,
+    judged at TOL_EIGEN.  Each stack's probes are judged by one SVD.
     """
-    draw = lambda n, _: random_maxent_states(2, n * PROBES, rng).reshape(n, PROBES, 4)
-    check = lambda elems, probes: [  # per row: the first probe whose image left the maximal set
-        Verdict(False, "element moved a maximally entangled state off the maximal set", row[broken.argmax()])
-        if broken.any() else Verdict(True, f"all {PROBES} probes stayed maximal")
-        for row, broken in zip(probes, _breaks_maximality(probes, elems.act(probes), TOL_ALGEBRA))
-    ]
-    nonmember = lambda u, _, rng: nonmember_maxent_check(u, rng)
-    failure = _run_suite(trials, rng, (_S22,), draw, check, nonmember)
+    draw = lambda n, split: random_maxent_states(split.d1, n * PROBES, rng).reshape(n, PROBES, split.dim)
+    failure = _run_suite(trials, rng, (_S22,), draw, schmidt_preservation_check, nonmember_maxent_check)
     return failure or Verdict(True, f"{trials} trials on the 2x2 split passed")
 
 
@@ -275,18 +269,20 @@ def check_lemmas_suite(trials: int, rng: np.random.Generator) -> Verdict:
 
     Per trial: an anti-Hermitian relative unitary (superposition must stay
     maximally entangled), a traceless Hermitian one (superposition must be a
-    product state), and an unconstrained random pair (the biconditional must
-    still hold, typically with both sides false).
+    product state), and a random pair rephased to a unit superposition (the
+    biconditional must still hold, typically with both sides false).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     for t in range(trials):
         base = random_maxent_state(2, rng)
         h = _traceless_hermitian_unitary(rng)
+        pair = random_maxent_state(2, rng)  # rephased so that <base|pair> is imaginary: a unit superposition
+        pair = StateVector(1j * np.exp(-1j * np.angle(base.overlap(pair))) * pair.amps)
         cases = (
             ("anti-Hermitian construction", check_lemma_antihermitian(base, _apply_second(1j * h, base))),
             ("Hermitian construction", check_lemma_hermitian(base, _apply_second(h, base))),
-            ("random pair", check_lemma_antihermitian(base, random_maxent_state(2, rng))),
+            ("random pair", check_lemma_antihermitian(base, pair)),
         )
         for label, verdict in cases:
             if not verdict.passed:

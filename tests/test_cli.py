@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import meronome
-from meronome import cli, theorems
+from meronome import cli, sampling, theorems
 
 ISQ2 = 1.0 / math.sqrt(2.0)
 PHI_PLUS_TEXT = f"{ISQ2},0 0,0 0,0 {ISQ2},0"
@@ -227,6 +227,16 @@ def test_refframe_dense_cap_message_is_short(capsys, n):
     error = captured.err.splitlines()[-1]
     assert error == f"meronome refframe: error: n = {int(n) + 1} copies of dimension d = 2 exceed the dense cap 4096 on d^n"
     assert len(error) < 200
+
+
+def test_refframe_meets_the_dense_cap_before_it_draws(capsys, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("refframe drew a state before checking the dense cap")
+
+    monkeypatch.setattr(sampling, "random_state", no_draw)
+    assert cli.run(["refframe", "--n", "12", "--dim", "2"]) == 2
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error == "meronome refframe: error: n = 13 copies of dimension d = 2 exceed the dense cap 4096 on d^n"
 
 
 def test_refframe_command(capsys):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from meronome import cli
+
 SCRIPTS = Path(__file__).parents[1] / "scripts"
 
 
@@ -37,3 +39,11 @@ def test_lambda_sweep_runs_at_its_smallest_grid(monkeypatch, capsys):
     _run(monkeypatch, "lambda_sweep.py", ["--points", "2", "--shots", "100"])
     rows = capsys.readouterr().out.splitlines()
     assert len(rows) == 3 and rows[2].split()[0] == "0.500"
+
+
+def test_run_verification_runs_every_cli_suite(monkeypatch, capsys):
+    with pytest.raises(SystemExit) as info:
+        _run(monkeypatch, "run_verification.py", ["--trials", "1", "--seeds", "0"])
+    assert info.value.code == 0
+    rows = [row.split() for row in capsys.readouterr().out.splitlines()]
+    assert [row[:3] for row in rows] == [[name, "seed=0", "ok"] for name in cli._SUITES]

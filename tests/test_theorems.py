@@ -211,6 +211,50 @@ def test_single_checks_of_an_empty_stack_return_no_verdicts():
         assert member_recognition_check(empty) == []
 
 
+def _basis(*indices: int) -> np.ndarray:
+    # the normalized equal superposition of computational basis states of two qubits
+    amps = np.zeros(4, dtype=complex)
+    amps[list(indices)] = 1.0
+    return amps / np.linalg.norm(amps)
+
+
+def test_schmidt_preservation_check_names_the_first_failing_probe_of_a_row():
+    # diag(1, 0.5) on the second qubit keeps product probes product but moves |00> + |11> off 1/2, 1/2
+    probes = np.array([[_basis(0), _basis(1), _basis(0, 3), _basis(1, 2)]] * 2)
+    elems = ElementStack.from_elements([MeronomicElement.identity(S22), _faulted_element()])
+    kept, drifted = schmidt_preservation_check(elems, probes)
+    assert kept.passed and kept.detail.startswith("Schmidt parameters preserved")
+    drifts, _ = theorems._schmidt_drifts(probes[1], probes[1] * [1.0, 0.5, 1.0, 0.5], S22)
+    assert drifts[:2].max() < 1e-15 and drifts[2:].min() > 0.1
+    assert drifted.detail == f"Schmidt parameters drifted by {drifts.max():.2e} > {TOL_ALGEBRA}"
+    assert np.array_equal(drifted.witness, probes[1, 2])
+
+
+def test_schmidt_preservation_check_reports_annihilation_before_drift():
+    # diag(1, 0) on the second qubit keeps |00>, moves |00> + |11> to a product state and annihilates |01>
+    elem = MeronomicElement.identity(S22)
+    object.__setattr__(elem, "w", Operator(np.diag([1.0, 0.0]).astype(complex)))
+    probes = np.array([[_basis(0), _basis(0, 3), _basis(1), _basis(0, 3)]])
+    [verdict] = schmidt_preservation_check(ElementStack.from_elements([elem]), probes)
+    assert verdict.detail == "element annihilated the probe state"
+    assert np.array_equal(verdict.witness, probes[0, 2])
+
+
+def test_schmidt_preservation_check_reads_one_probe_rows_as_rows_of_one():
+    rng = seeded(32)
+    rows = [random_m_element(S22, rng) for _ in range(6)]
+    rows[2], rows[4] = _faulted_element(), _faulted_element()
+    object.__setattr__(rows[4], "w", Operator(np.zeros((2, 2), dtype=complex)))
+    elems, states = ElementStack.from_elements(rows), random_states((4,), 6, rng)
+    flat, nested = schmidt_preservation_check(elems, states), schmidt_preservation_check(elems, states[:, None])
+    assert [v.detail for v in flat] == [v.detail for v in nested]
+    assert [v.passed for v in flat] == [True, True, False, True, False, True]
+    for verdicts in (flat, nested):
+        for verdict, state in zip(verdicts, states):
+            assert verdict.witness is None if verdict.passed else np.array_equal(verdict.witness, state)
+    assert schmidt_preservation_check(random_m_elements(S22, 0, rng), np.zeros((0, PROBES, 4), dtype=complex)) == []
+
+
 def test_member_recognition_check():
     rng = seeded(25)
     verdicts = member_recognition_check(random_m_elements(S22, 8, rng))
@@ -253,7 +297,7 @@ def test_stacked_checks_match_the_per_element_formulas(split, monkeypatch):
         assert dead == (expected is None)
         if expected is not None:
             assert drift == expected  # bitwise
-            assert verdict.passed == (expected <= theorems.TOL_DRIFT)
+            assert verdict.passed == (expected <= TOL_ALGEBRA)
     assert gone.tolist() == [i == 31 for i in range(64)]
     assert verdicts[31].detail == "element annihilated the probe state"
     assert np.array_equal(verdicts[31].witness, states[31])
@@ -295,7 +339,8 @@ def test_stacked_maximality_matches_per_probe_classify(tol):
     candidates = haar_unitary_batch(4, 64, rng)
     probes = random_maxent_states(2, 128 * PROBES, rng).reshape(128, PROBES, 4)
     images = np.concatenate((members.act(probes[:64]), np.einsum("nij,npj->npi", candidates, probes[64:])))
-    broken = theorems._breaks_maximality(probes, images, tol)
+    drifts, gone = theorems._schmidt_drifts(probes, images, S22)
+    broken = gone | ~(drifts <= tol)
     assert broken.shape == (128, PROBES)
     assert broken.ravel().tolist() == _classified_breaks(images.reshape(-1, 4), tol)
     assert not broken[:64].any() and broken[64:].any(axis=1).all()
@@ -309,7 +354,7 @@ def test_theorem2_suite_judges_maximality_without_classify(monkeypatch):
 def test_nonmember_checks_on_bell_frame_change():
     u = bell_frame_unitary()
     assert nonmember_product_check(u, S22, seeded(26)).passed
-    assert nonmember_maxent_check(u, seeded(27)).passed
+    assert nonmember_maxent_check(u, S22, seeded(27)).passed
     # it does send one maximally entangled state to a product state
     assert classify(u.apply(PSI_MINUS), S22) is Entanglement.PRODUCT
 
@@ -328,7 +373,7 @@ def test_nonmember_maxent_check_fails_on_member(swap):
     rng = seeded(29)
     elem = random_m_element(S22, rng)
     elem = MeronomicElement(elem.v, elem.w, swap=swap)
-    verdict = nonmember_maxent_check(elem.to_operator(), rng)
+    verdict = nonmember_maxent_check(elem.to_operator(), S22, rng)
     assert not verdict.passed
     assert verdict.detail == "all 20 maximally entangled probes stayed maximal"
     assert_allclose(verdict.witness, elem.to_operator().entries)
@@ -359,6 +404,21 @@ def test_theorem_suites_pass_across_stack_boundaries(suite, seed):
 def test_lemmas_suite_passes(seed):
     verdict = check_lemmas_suite(50, seeded(seed))
     assert verdict.passed, verdict.detail
+
+
+def test_lemmas_suite_classifies_every_random_pair_superposition(monkeypatch):
+    # unrephased, two independent maximally entangled states have Re<psi|phi> != 0 almost surely: no unit superposition
+    classes, classify_superposition = [], theorems._superposition_entanglement
+
+    def recording(psi, phi):
+        cls, s = classify_superposition(psi, phi)
+        classes.append(cls)
+        return cls, s
+
+    monkeypatch.setattr(theorems, "_superposition_entanglement", recording)
+    assert check_lemmas_suite(50, seeded(0)).passed
+    assert len(classes) == 150
+    assert None not in classes[2::3]  # per trial: anti-Hermitian, Hermitian, random pair
 
 
 @pytest.mark.parametrize(
@@ -405,7 +465,7 @@ def test_suites_fail_on_injected_fault(inject_elements):
     "suite, detail",
     [
         (check_theorem1_suite, "trial 0 on 2x2: element annihilated the probe state"),
-        (check_theorem2_suite, "trial 0 on 2x2: element moved a maximally entangled state off the maximal set"),
+        (check_theorem2_suite, "trial 0 on 2x2: element annihilated the probe state"),
     ],
 )
 def test_suites_report_an_element_that_annihilates_the_probe(inject_elements, suite, detail):
@@ -462,7 +522,7 @@ def test_theorem2_suite_reports_a_fault_in_the_second_stack(inject_elements):
     good = MeronomicElement.identity(S22)
     inject_elements(*[good] * 70, _faulted_element())
     verdict = check_theorem2_suite(130, seeded(0))
-    assert verdict.detail == "trial 70 on 2x2: element moved a maximally entangled state off the maximal set"
+    assert verdict.detail.startswith("trial 70 on 2x2: Schmidt parameters drifted by ")
     assert verdict.witness.shape == (4,)
 
 
@@ -507,7 +567,7 @@ def test_nonmember_checks_draw_a_fixed_number_of_probes(monkeypatch):
     s23, haar = BipartiteSplit(2, 3), Operator(haar_unitary_batch(6, 1, seeded(30))[0])
     runs = [
         (partial(nonmember_product_check, split=s23), haar, Operator.identity(6), (1, PROBES)),
-        (nonmember_maxent_check, bell_frame_unitary(), Operator.identity(4), (0, 0)),  # one SVD, no classify
+        (partial(nonmember_maxent_check, split=S22), bell_frame_unitary(), Operator.identity(4), (0, 0)),  # no classify
     ]
     for check, escapes_at_once, never_escapes, probes_classified in runs:
         after = []
