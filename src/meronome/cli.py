@@ -141,7 +141,7 @@ def _cmd_twirl(args):
     est.flat[:: split.dim + 1] -= 1.0 / split.dim  # the exact twirl of every input is the maximally mixed 1/D
     return {
         "samples": args.samples,
-        "split": str(split),
+        "split": split,
         "frobenius_distance_to_uniform": float(np.linalg.norm(est)),
     }, False
 

@@ -17,6 +17,7 @@ operators.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -197,10 +198,9 @@ class SchmidtDecomposition:
 class MembershipResult:
     """Outcome of testing a unitary against the decomposition-preserving group.
 
-    For Local / SwapLocal verdicts, `factors` reconstructs the input up to a
-    global phase within `residual`.  For NotMember, `residual` is the
-    Frobenius distance to the nearest product-form unitary (over both the
-    plain and the swapped branch) and `factors` is None.
+    Local / SwapLocal: `residual` is the Frobenius distance up to phase of the input from what `factors` rebuild.
+    NotMember: `factors` is None and `residual` > tol is the certified bound below which no product unitary, plain
+    or swapped, lies; or, where that bound is within tol but the polar factors are not, those factors' distance.
     """
 
     verdict: Membership
@@ -306,40 +306,39 @@ def spin_hamiltonian(alpha: float, beta: float) -> Operator:
 
 
 def _try_product_form(branches: np.ndarray, split: BipartiteSplit, tol: float):
-    """Membership of the first branch (Local, then SwapLocal) whose unitaries v, w give phase * v (x) w
-    within tol, else NotMember with the smallest residual or, where no factors formed, rank-one defect."""
+    """Membership decided on the branch (Local, or SwapLocal) nearest the product form: NotMember with that
+    branch's certified bound when it exceeds tol, else the polar factors' verdict and distance."""
     d1, d2 = split.d1, split.d2
     # U[(i1 i2), (j1 j2)] -> R[(i1 j1), (i2 j2)] per branch: product operators become rank one.
     realigned = branches.reshape(-1, d1, d2, d1, d2).transpose(0, 1, 3, 2, 4).reshape(-1, d1 * d1, d2 * d2)
     p, s, qh = np.linalg.svd(realigned)
-    best = np.inf
-    for k, mat in enumerate(branches):
-        # For a unitary sum(s^2) == d1*d2; rank one in the realigned picture means s[0] carries all of it.
-        if s[k, 0] ** 2 < (1.0 - tol) * d1 * d2:
-            best = min(best, float(np.sqrt(max(d1 * d2 - s[k, 0] ** 2, 0.0))))
-            continue
-        raw = p[k, :, 0].reshape(1, d1, d1), qh[k, 0, :].reshape(1, d2, d2)
-        # Nearest unitaries via the polar decomposition of each factor, in one SVD when d1 == d2.
-        stacks = [np.concatenate(raw)] if d1 == d2 else raw
-        v, w = (unitary for left, _, right in map(np.linalg.svd, stacks) for unitary in left @ right)
-        # Pin v's phase (v read row by row as one column); w takes it back, so v (x) w is unchanged.
-        flat, phases = phase_fix(v.reshape(-1, 1))
-        factors = Operator(flat.reshape(d1, d1)), Operator(w * phases[0])
-        residual = distance_up_to_phase(mat, kron(*factors).entries)
-        if residual <= tol:
-            return MembershipResult((Membership.LOCAL, Membership.SWAP_LOCAL)[k], factors, residual)
-        best = min(best, residual)
-    return MembershipResult(Membership.NOT_MEMBER, None, float(best))
+    # |U|^2 == sum(s^2) and |<v (x) w, U>| <= s[0] sqrt(D): every phase * v (x) w lies |s - sqrt(D) e_0| or more off.
+    lower = [math.hypot(math.sqrt(d1 * d2) - top, *rest) for top, *rest in s.tolist()]
+    k = lower.index(min(lower))
+    if lower[k] > tol:
+        return MembershipResult(Membership.NOT_MEMBER, None, lower[k])
+    raw = p[k, :, 0].reshape(1, d1, d1), qh[k, 0, :].reshape(1, d2, d2)
+    # Nearest unitaries via the polar decomposition of each factor, in one SVD when d1 == d2.
+    stacks = [np.concatenate(raw)] if d1 == d2 else raw
+    v, w = (unitary for left, _, right in map(np.linalg.svd, stacks) for unitary in left @ right)
+    # Pin v's phase (v read row by row as one column); w takes it back, so v (x) w is unchanged.
+    flat, phases = phase_fix(v.reshape(-1, 1))
+    factors = Operator(flat.reshape(d1, d1)), Operator(w * phases[0])
+    residual = distance_up_to_phase(branches[k], kron(*factors).entries)
+    if residual > tol:
+        return MembershipResult(Membership.NOT_MEMBER, None, residual)
+    return MembershipResult((Membership.LOCAL, Membership.SWAP_LOCAL)[k], factors, residual)
 
 
 def factor_as_local(u: Operator, split: BipartiteSplit, tol: float = TOL_EIGEN) -> MembershipResult:
     """Decide whether a unitary preserves the given decomposition.
 
-    Local means u = phase * v (x) w; SwapLocal means u = phase * (v (x) w) * swap
-    (only possible for d1 == d2), each only when the factors reconstruct u
-    up to phase with residual <= tol.  Anything else is NotMember.
+    Local means u = phase * v (x) w; SwapLocal means u = phase * (v (x) w) * swap (only possible for d1 == d2),
+    each only when the factors reconstruct u up to phase within tol; anything else is NotMember.  The branch whose
+    bound |s - sqrt(D) e_0| (s: its realigned matrix's singular values) is smaller decides; see MembershipResult.
     """
-    if not 0.0 < tol < 1.0:  # the rank-one shortcut s0^2 < (1 - tol) * D means nothing from 1 on
+    # The swap (d^2 unit singular values) lies >= sqrt(2d^2 - 2d) >= 2 from every v (x) w: below 1, one branch at most.
+    if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if u.dim != split.dim:
         raise ValueError(f"operator dim {u.dim} does not match split {split}")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 
 import numpy as np
@@ -383,7 +384,8 @@ def test_spin_hamiltonian_is_sum_of_sides():
 
 def test_factor_constructed_members():
     rng = seeded(21)
-    for split in (S22, BipartiteSplit(2, 3), BipartiteSplit(3, 3)):
+    shapes = [(2, 2), (2, 3), (3, 3), (3, 2), (1, 4), (4, 1)]
+    for split in (BipartiteSplit(d1, d2) for d1, d2 in shapes):
         for _ in range(40):
             elem = random_m_element(split, rng)
             result = factor_as_local(elem.to_operator(), split)
@@ -395,25 +397,34 @@ def test_factor_constructed_members():
             if elem.swap:
                 recon = recon @ swap_operator(split.d1).entries
             assert distance_up_to_phase(elem.to_operator().entries, recon) < 1e-8
+        if min(split.d1, split.d2) == 1:  # on a trivial factor every unitary is Local
+            u = haar_unitary_batch(split.dim, 1, rng)[0]
+            result = factor_as_local(Operator(u), split)
+            assert result.verdict is Membership.LOCAL and result.residual < 1e-8
+            assert distance_up_to_phase(u, np.kron(*(f.entries for f in result.factors))) < 1e-8
+
+
+def _kicked_member(split, eps, rng, swap=False):
+    # A group element kicked off the group by exp(i eps H), H a Hermitian Gaussian matrix.
+    d = split.dim
+    v, w = Operator(haar_unitary_batch(split.d1, 1, rng)[0]), Operator(haar_unitary_batch(split.d2, 1, rng)[0])
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    values, vectors = np.linalg.eigh(a + a.conj().T)
+    kick = (vectors * np.exp(1j * eps * values)) @ vectors.conj().T
+    return MeronomicElement(v, w, swap).to_operator().entries @ kick
 
 
 @given(
     seed=st.integers(0, 2**32 - 1),
     log_eps=st.floats(-9.0, -2.0),
-    shape=st.sampled_from([(2, 2, False), (2, 2, True), (2, 3, False)]),
+    shape=st.sampled_from([(2, 2, False), (2, 2, True), (2, 3, False), (3, 3, True), (3, 2, False)]),
     tol=st.sampled_from([1e-8, 1e-6]),
 )
 def test_member_verdict_means_residual_within_tol(seed, log_eps, shape, tol):
-    # A group element kicked off the group by exp(i eps H): whatever the
-    # verdict, it must agree with the residual it reports.
+    # Whatever the verdict on a kicked member, it must agree with the residual it reports.
     d1, d2, swap = shape
-    rng = seeded(seed)
-    v, w = haar_unitary_batch(d1, 1, rng)[0], haar_unitary_batch(d2, 1, rng)[0]
-    elem = MeronomicElement(Operator(v), Operator(w), swap)
-    a = rng.standard_normal((d1 * d2,) * 2) + 1j * rng.standard_normal((d1 * d2,) * 2)
-    values, vectors = np.linalg.eigh(a + a.conj().T)
-    kick = (vectors * np.exp(1j * 10**log_eps * values)) @ vectors.conj().T
-    result = factor_as_local(Operator(elem.to_operator().entries @ kick), BipartiteSplit(d1, d2), tol)
+    split = BipartiteSplit(d1, d2)
+    result = factor_as_local(Operator(_kicked_member(split, 10**log_eps, seeded(seed), swap)), split, tol)
     if result.verdict is Membership.NOT_MEMBER:
         assert result.residual > tol
     else:
@@ -422,7 +433,8 @@ def test_member_verdict_means_residual_within_tol(seed, log_eps, shape, tol):
 
 @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, 2.0])
 def test_factor_as_local_rejects_a_tol_outside_the_unit_interval(tol):
-    # Outside (0, 1) a verdict means nothing: at -1 the identity is NotMember, at 2 a Haar unitary is Local.
+    # Outside (0, 1) a verdict means nothing: at -1 the identity is NotMember, and at 2 the square root of the swap
+    # lies within tol of both the identity and the swap, so it would be Local and SwapLocal at once.
     for u in (Operator.identity(4), Operator(haar_unitary_batch(4, 1, seeded(0))[0])):
         with pytest.raises(ValueError, match=re.escape(f"tol must lie in (0, 1), got {tol}")):
             factor_as_local(u, S22, tol)
@@ -474,35 +486,37 @@ def test_factor_rejects_dim_mismatch():
         factor_as_local(Operator.identity(4), BipartiteSplit(2, 3))
 
 
-def _oracle_try_product_form(mat, split, tol):
-    # The one-matrix-at-a-time membership step that the stacked one replaced: kept as the reference.
+def _realigned(mat, split):
     d1, d2 = split.d1, split.d2
-    p, s, qh = np.linalg.svd(mat.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2))
-    if s[0] ** 2 < (1.0 - tol) * d1 * d2:
-        return None, float(np.sqrt(max(d1 * d2 - s[0] ** 2, 0.0)))
-    ua, _, vha = np.linalg.svd(p[:, 0].reshape(d1, d1))
-    ub, _, vhb = np.linalg.svd(qh[0, :].reshape(d2, d2))
+    return mat.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
+
+
+def _oracle_bound(mat, split):
+    # One matrix's bound |s - sqrt(D) e_0| on its realigned singular values s, with the top singular vectors.
+    p, s, qh = np.linalg.svd(_realigned(mat, split))
+    return math.hypot(math.sqrt(split.dim) - s[0], *s[1:]), p[:, 0], qh[0, :]
+
+
+def _oracle_factor_as_local(u, split, tol):
+    # The one-matrix-at-a-time membership test that the stacked one replaced: kept as the reference.  The branch
+    # with the smaller bound decides; its bound is the residual when above tol, else its polar factors' distance.
+    d1, d2 = split.d1, split.d2
+    branches = [(Membership.LOCAL, u)]
+    if d1 == d2:
+        branches.append((Membership.SWAP_LOCAL, u @ swap_operator(d1).entries))
+    lower, left, right, verdict, mat = min(((*_oracle_bound(m, split), v, m) for v, m in branches), key=lambda c: c[0])
+    if lower > tol:
+        return Membership.NOT_MEMBER, None, lower
+    ua, _, vha = np.linalg.svd(left.reshape(d1, d1))
+    ub, _, vhb = np.linalg.svd(right.reshape(d2, d2))
     v, w = ua @ vha, ub @ vhb
     flat, phases = phase_fix(v.reshape(-1, 1))
     v, w = flat.reshape(d1, d1), w * phases[0]
     residual = distance_up_to_phase(mat, np.kron(v, w))
-    return ((v, w) if residual <= tol else None), residual
+    return (verdict, (v, w), residual) if residual <= tol else (Membership.NOT_MEMBER, None, residual)
 
 
-def _oracle_factor_as_local(u, split, tol):
-    branches = [(Membership.LOCAL, u)]
-    if split.d1 == split.d2:
-        branches.append((Membership.SWAP_LOCAL, u @ swap_operator(split.d1).entries))
-    best = np.inf
-    for verdict, mat in branches:
-        factors, residual = _oracle_try_product_form(mat, split, tol)
-        if factors is not None:
-            return verdict, factors, residual
-        best = min(best, residual)
-    return Membership.NOT_MEMBER, None, float(best)
-
-
-@pytest.mark.parametrize("d1, d2", [(2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("d1, d2", [(2, 2), (2, 3), (3, 3), (3, 2)])
 def test_stacked_membership_matches_the_one_matrix_oracle(d1, d2):
     split, rng = BipartiteSplit(d1, d2), seeded(40 + 3 * d1 + d2)
     cases = []
@@ -511,7 +525,7 @@ def test_stacked_membership_matches_the_one_matrix_oracle(d1, d2):
         for swap in (False, True) if d1 == d2 else (False,):
             cases.append(MeronomicElement(v, w, swap).to_operator().entries)
         cases.append(haar_unitary_batch(d1 * d2, 1, rng)[0])
-        kick = np.diag(np.exp(1j * 1e-5 * rng.standard_normal(d1 * d2)))  # factors form, residual exceeds tol
+        kick = np.diag(np.exp(1j * 1e-5 * rng.standard_normal(d1 * d2)))  # about 1e-5 off the group: the bound decides
         cases.append(cases[-2] @ kick)
     verdicts = set()
     for mat in cases:
@@ -525,6 +539,83 @@ def test_stacked_membership_matches_the_one_matrix_oracle(d1, d2):
         else:
             assert all(np.array_equal(got.entries, want) for got, want in zip(result.factors, factors))
     assert verdicts == (set(Membership) if d1 == d2 else {Membership.LOCAL, Membership.NOT_MEMBER})
+
+
+def _polar(mat):
+    left, _, right = np.linalg.svd(mat)
+    return left @ right
+
+
+def _alternating_polar(mat, split, w, steps):
+    # Ascend |<v (x) w, mat>| over unitaries: v from w, then w from v, each the polar factor of its linear form.
+    r = _realigned(mat, split)
+    for _ in range(steps):
+        v = _polar((r @ w.reshape(-1).conj()).reshape(split.d1, split.d1))
+        w = _polar((r.T @ v.reshape(-1).conj()).reshape(split.d2, split.d2))
+    return distance_up_to_phase(mat, np.kron(v, w))
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 2), (2, 3), (3, 3), (3, 2)])
+def test_no_sampled_product_unitary_is_closer_than_a_nonmember_residual(d1, d2):
+    split, rng = BipartiteSplit(d1, d2), seeded(60 + 3 * d1 + d2)
+    swaps = (False, True) if d1 == d2 else (False,)
+    cases = [haar_unitary_batch(split.dim, 1, rng)[0] for _ in range(4)]
+    cases += [_kicked_member(split, eps, rng, swap) for eps in (1e-3, 1e-2) for swap in swaps]
+    for mat in cases:
+        result = factor_as_local(Operator(mat), split, 1e-8)
+        assert result.verdict is Membership.NOT_MEMBER and result.residual > 1e-8
+        v, w = haar_unitary_batch(d1, 200, rng), haar_unitary_batch(d2, 200, rng)
+        products = (v[:, :, None, :, None] * w[:, None, :, None, :]).reshape(200, split.dim, split.dim)
+        for swap in swaps:
+            target = mat @ swap_operator(d1).entries if swap else mat
+            closest = min(distance_up_to_phase(target, prod) for prod in products)
+            # Local optima from the top singular vector and from random starts come closest of all.
+            starts = [_oracle_bound(target, split)[2].reshape(d2, d2), *haar_unitary_batch(d2, 3, rng)]
+            polar = min(_alternating_polar(target, split, start, 40) for start in starts)
+            assert min(closest, polar) >= result.residual - 1e-12
+
+
+def test_nonmember_residual_is_the_optimum_on_two_qubits():
+    # By the KAK form the top operator-Schmidt vector of a two-qubit unitary is a scaled unitary, so the bound is met
+    # from that start; random starts may stop at local optima, which are farther.
+    rng = seeded(71)
+    for u in haar_unitary_batch(4, 20, rng):
+        result = factor_as_local(Operator(u), S22)
+        optimum = min(
+            _alternating_polar(target, S22, start, 60)
+            for target in (u, u @ swap_operator(2).entries)
+            for start in (_oracle_bound(target, S22)[2].reshape(2, 2), *haar_unitary_batch(2, 2, rng))
+        )
+        assert result.verdict is Membership.NOT_MEMBER
+        assert abs(result.residual - optimum) < 1e-12
+
+
+def test_polar_factors_that_miss_tol_give_their_own_distance_as_residual():
+    # 10^-1.5 off the group on 2x3 the bound trails the polar factors' distance measurably; a tol between the two
+    # passes the bound, so the polar step decides, and its distance (> tol) is the NotMember residual.
+    split = BipartiteSplit(2, 3)
+    u = Operator(_kicked_member(split, 10**-1.5, seeded(3)))
+    bound, polar = factor_as_local(u, split, 1e-8), factor_as_local(u, split, 0.99)
+    assert bound.verdict is Membership.NOT_MEMBER and polar.verdict is Membership.LOCAL
+    assert bound.residual == _oracle_bound(u.entries, split)[0]
+    assert polar.residual - bound.residual > 1e-5
+    result = factor_as_local(u, split, (bound.residual + polar.residual) / 2)
+    assert result.verdict is Membership.NOT_MEMBER and result.factors is None
+    assert result.residual == polar.residual
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_near_members_lie_far_from_the_other_branch(d):
+    # The swap lies sqrt(2d^2 - 2d) >= 2 from every product unitary, so only one branch can come within a tol < 1.
+    split, rng = BipartiteSplit(d, d), seeded(80 + d)
+    for eps in 10.0 ** np.arange(-10, -2):
+        for swap in (False, True):
+            mat = _kicked_member(split, eps, rng, swap)
+            plain, swapped = (_oracle_bound(m, split)[0] for m in (mat, mat @ swap_operator(d).entries))
+            near, far = (swapped, plain) if swap else (plain, swapped)
+            assert near < 1e-1 and far > 1
+            expected = Membership.SWAP_LOCAL if swap else Membership.LOCAL
+            assert factor_as_local(Operator(mat), split, 1e-1).verdict is expected
 
 
 def test_schmidt_preserved_by_elements():
