@@ -138,12 +138,12 @@ def random_m_element(split: BipartiteSplit, rng: np.random.Generator) -> Meronom
     return MeronomicElement(Operator(v[0]), Operator(w[0]), bool(swaps[0]))
 
 
-def _factor_products(v: np.ndarray, c: np.ndarray, w: np.ndarray, swaps: np.ndarray | None) -> np.ndarray:
+def _factor_products(v: np.ndarray, c: np.ndarray, w: np.ndarray, swaps: np.ndarray) -> np.ndarray:
     """Rows vec(v c w^T), shape (count, d1*d2), for stacks v, w and a d1 x d2 c, with c^T in place of c where
-    `swaps` is set (None sets none): an ElementStack's factor action above _SMALL_DIM.  Up to it one GEMM of c^T, and
-    of c when a sample swaps, with v's sample planes gives v c^T planes (v c where it swaps); an einsum takes in w."""
+    `swaps` is set: an ElementStack's factor action above _SMALL_DIM.  Up to it one GEMM of c^T, and of c when a
+    sample swaps, with v's sample planes gives v c^T planes (v c where it swaps); an einsum takes in w."""
     count, d1, d2 = len(v), v.shape[1], w.shape[1]
-    flip = swaps is not None and swaps.any()
+    flip = swaps.any() and not np.array_equal(c, c.T)  # c = c^T is its own swap image: no per-sample select
     if max(d1, d2) > _SMALL_DIM:
         return _factor_action(v, w, swaps[:, None, None] if flip else np.bool_(False), c).reshape(count, d1 * d2)
     planes = v.T.reshape(d1, d1 * count)  # v.T[i, a] = v[:, a, i]: column i of v, one sample vector per row
@@ -181,13 +181,12 @@ def twirl_monte_carlo(
         values, vectors = np.linalg.eigh(rho.entries)
         keep = values > 1e-14 * values[-1]
         c_mats = (vectors[:, keep] * np.sqrt(values[keep])).T.reshape(-1, split.d1, split.d2)
-    flips = [not np.array_equal(c, c.T) for c in c_mats]  # c = c^T is its own swap image: no per-sample select
     acc = np.zeros((split.dim, split.dim), dtype=np.complex128)
     held = []  # consecutive row blocks shorter than D, taken as one product once they total D rows
     for i, stream in enumerate(streams):
         for v, w, swaps in sample_m_chunks(split, base + (i < extra), stream):
-            for c, flip in zip(c_mats, flips):
-                x = _factor_products(v, c, w, swaps if flip else None)
+            for c in c_mats:
+                x = _factor_products(v, c, w, swaps)
                 if len(x) < split.dim:
                     held.append(x)
                     if sum(map(len, held)) < split.dim:

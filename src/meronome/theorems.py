@@ -6,7 +6,9 @@ decomposition exactly when it keeps every state's Schmidt parameters, and
 entangled states.  Supporting lemmas relate superpositions of maximally
 entangled states to the Hermitian/anti-Hermitian character of the unitary
 connecting them.  The checks sample these statements and return Verdicts
-with reproducible witnesses instead of raising, so they can run as suites.
+with reproducible witnesses for their claims, so they can run as suites; on
+inputs outside a claim's hypotheses (relative_unitary and both lemma checks)
+they raise ValueError instead of giving a verdict.
 Both theorem suites run through one driver, which draws each split's group
 elements (one ElementStack from random_m_elements, which tests replace to
 inject faults), probes and Haar candidates in stacks; a non-member check
@@ -66,12 +68,13 @@ def relative_unitary(psi: StateVector, phi: StateVector) -> Operator:
     return Operator(q.T @ p.conj())
 
 
-def _superposition_entanglement(psi: StateVector, phi: StateVector):
-    """Classification of (psi + phi)/sqrt(2), or None when it is not even normalized."""
+def _superposition_entanglement(psi: StateVector, phi: StateVector) -> tuple[Entanglement, np.ndarray]:
+    """Class of s = (psi + phi)/sqrt(2), and s.  Both lemmas need |s| = 1, i.e. Re<psi|phi> = 0 (|s|^2 = 1 + Re
+    tr(u)/2 for phi = (1 (x) u) psi): raises ValueError where |s| misses 1 by more than TOL_EIGEN."""
     s = (psi.amps + phi.amps) / _SQRT2
     norm = np.linalg.norm(s)
     if abs(norm - 1.0) > TOL_EIGEN:
-        return None, s
+        raise ValueError(f"(psi + phi)/sqrt(2) has norm {norm:.6g}, not 1 within {TOL_EIGEN}: need Re<psi|phi> = 0")
     return classify(StateVector(s / norm), _S22, TOL_EIGEN), s
 
 
@@ -79,7 +82,8 @@ def check_lemma_antihermitian(psi: StateVector, phi: StateVector) -> Verdict:
     """Equal superposition is maximally entangled iff the relative unitary is anti-Hermitian.
 
     Tests the biconditional in both directions on one pair of maximally
-    entangled two-qubit states.
+    entangled two-qubit states with Re<psi|phi> = 0, and raises outside that
+    domain, where it has no content: phi = e^{it} psi superposes to a multiple of psi.
     """
     u = relative_unitary(psi, phi).entries
     anti = bool(np.abs(u + u.conj().T).max() <= TOL_EIGEN)
@@ -177,7 +181,7 @@ def member_recognition_check(elems: ElementStack) -> list[Verdict]:
 
 def nonmember_product_check(u: Operator, split: BipartiteSplit, rng: np.random.Generator) -> Verdict:
     """A rejected unitary must send one of PROBES product states, drawn up front, to an entangled one.  The images are
-    classified one at a time, as perfbench's traced verify run expects classify calls here (ROADMAP items 1 and 3b)."""
+    classified one at a time up to the first that leaves the product set: for a Haar candidate, the first probe."""
     for image in map(u.entries.dot, random_states((split.d1, split.d2), PROBES, rng)):
         norm = np.linalg.norm(image)
         if norm < 1e-12 or classify(StateVector(image / norm), split, TOL_EIGEN) is not Entanglement.PRODUCT:
@@ -255,11 +259,6 @@ def check_theorem2_suite(trials: int, rng: np.random.Generator) -> Verdict:
     return failure or Verdict(True, f"{trials} trials on the 2x2 split passed")
 
 
-def _traceless_hermitian_unitary(rng: np.random.Generator) -> np.ndarray:
-    v = haar_unitary_batch(2, 1, rng)[0]
-    return v @ np.diag([1.0, -1.0]).astype(np.complex128) @ v.conj().T
-
-
 def _apply_second(u: np.ndarray, state: StateVector) -> StateVector:
     return StateVector((state.amps.reshape(2, 2) @ u.T).reshape(-1))
 
@@ -276,7 +275,8 @@ def check_lemmas_suite(trials: int, rng: np.random.Generator) -> Verdict:
         raise ValueError(f"trials must be >= 1, got {trials}")
     for t in range(trials):
         base = random_maxent_state(2, rng)
-        h = _traceless_hermitian_unitary(rng)
+        v = haar_unitary_batch(2, 1, rng)[0]
+        h = v @ np.diag([1.0, -1.0]).astype(np.complex128) @ v.conj().T  # a traceless Hermitian unitary
         pair = random_maxent_state(2, rng)  # rephased so that <base|pair> is imaginary: a unit superposition
         pair = StateVector(1j * np.exp(-1j * np.angle(base.overlap(pair))) * pair.amps)
         cases = (

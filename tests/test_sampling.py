@@ -402,7 +402,7 @@ def test_contraction_splits_straddle_the_threshold():
 @pytest.mark.parametrize("split", _CONTRACTION_SPLITS.values(), ids=_CONTRACTION_SPLITS.keys())
 def test_factor_products_match_matmul(split):
     # the factors of a rank-2 rho, and a Schmidt-form (diagonal) one; swapped samples on square splits take c^T,
-    # and a factor equal to its own transpose may skip that select, bit for bit
+    # and a factor equal to its own transpose skips that select: its rows equal, bit for bit, those with no swap
     g = seeded(23)
     z = g.standard_normal((split.dim, 2)) + 1j * g.standard_normal((split.dim, 2))
     schmidt = np.zeros((split.d1, split.d2), dtype=complex)
@@ -417,7 +417,7 @@ def test_factor_products_match_matmul(split):
         x = _factor_products(v, c, w, swaps)
         assert np.abs(x - expected).max() < 1e-13
         if np.array_equal(c, c.T):
-            assert np.array_equal(_factor_products(v, c, w, None), x)
+            assert np.array_equal(_factor_products(v, c, w, np.zeros_like(swaps)), x)
             shortcuts += 1
     assert shortcuts == (split.d1 == split.d2)
 

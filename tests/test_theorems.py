@@ -120,6 +120,27 @@ def test_lemma_antihermitian_both_sides_false():
     assert "anti-Hermitian=False" in verdict.detail
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, 2.0, np.pi - 1e-3])
+def test_lemma_antihermitian_rejects_a_superposition_off_unit_norm(theta):
+    # u = e^{i theta} 1 is not anti-Hermitian, yet the normalized superposition is psi up to phase: nothing to check
+    with pytest.raises(ValueError, match=r"has norm .* need Re<psi\|phi> = 0"):
+        check_lemma_antihermitian(PHI_PLUS, StateVector(np.exp(1j * theta) * PHI_PLUS.amps))
+
+
+def test_lemma_antihermitian_passes_for_an_imaginary_phase():
+    # theta = pi/2: u = i 1 is anti-Hermitian and Re<psi|phi> = 0
+    verdict = check_lemma_antihermitian(PHI_PLUS, StateVector(1j * PHI_PLUS.amps))
+    assert verdict.passed and "anti-Hermitian=True" in verdict.detail
+
+
+def test_lemma_antihermitian_rejects_an_unrephased_random_pair():
+    rng = seeded(5)
+    psi, phi = random_maxent_state(2, rng), random_maxent_state(2, rng)
+    assert abs(psi.overlap(phi).real) > 1e-3
+    with pytest.raises(ValueError, match="has norm"):
+        check_lemma_antihermitian(psi, phi)
+
+
 def test_lemma_hermitian_example():
     verdict = check_lemma_hermitian(PHI_PLUS, PHI_MINUS)
     assert verdict.passed
