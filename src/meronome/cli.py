@@ -119,19 +119,9 @@ def _cmd_frame(args):
 
 
 def _cmd_pauli_table(args):
-    bell = frames.bell_frame_unitary().entries
-    entries = []
-    max_defect = 0.0
-    for side in "AB":
-        for label in "XYZ":
-            op = frames.ab_pauli(label, side)
-            sigma = frames.pauli(label).entries
-            eye = np.eye(2, dtype=np.complex128)
-            in_frame = np.kron(sigma, eye) if side == "A" else np.kron(eye, sigma)
-            defect = float(np.abs(op.entries - bell.conj().T @ in_frame @ bell).max())
-            max_defect = max(max_defect, defect)
-            entries.append({"pauli": label, "subsystem": side, "matrix": op.entries})
-    return {"entries": entries, "max_frame_defect": max_defect}, False
+    table, defect = frames.bell_pauli_dictionary()
+    entries = [{"pauli": label, "subsystem": side, "matrix": op.entries} for (label, side), op in table.items()]
+    return {"entries": entries, "max_frame_defect": defect}, False
 
 
 def _cmd_twirl(args):
@@ -188,19 +178,13 @@ def _cmd_refframe(args):
     p_sym = protocols.measure_sym_subspace(psi, phi, args.n)
     effect = protocols.reference_frame_effect(phi, args.n).entries
     prediction = float(np.vdot(psi.amps, effect @ psi.amps).real)
-    # deterministic vector orthogonal to phi: Gram-Schmidt on the least-aligned basis vector
-    pivot = int(np.argmin(np.abs(phi.amps)))
-    raw = np.zeros(args.dim, dtype=np.complex128)
-    raw[pivot] = 1.0
-    raw -= phi.amps * np.vdot(phi.amps, raw)
-    chi = linalg.StateVector.normalized(raw)
     return {
         "n": args.n,
         "dim": args.dim,
         "p_sym": p_sym,
         "effect_prediction": prediction,
         "agreement_error": abs(p_sym - prediction),
-        "orthogonal_probability": protocols.measure_sym_subspace(chi, phi, args.n),
+        "orthogonal_probability": protocols.measure_sym_subspace(linalg.orthogonal_state(phi), phi, args.n),
         "orthogonal_prediction": 1.0 / (args.n + 1),
     }, False
 

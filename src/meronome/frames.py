@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -267,41 +268,51 @@ def bell_frame_unitary() -> Operator:
 
 
 def theta_frame_unitary(theta: float) -> Operator:
-    """One-parameter frame change diag(1, 1, 1, exp(-i*theta)) on two qubits.
+    """One-parameter frame change diag(1, 1, 1, exp(-i*theta)) on two qubits, for a finite theta.
 
     At theta = 0 this is the identity; as theta grows the new decomposition
     disagrees with the original about which states are product.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     return Operator(np.diag([1.0, 1.0, 1.0, np.exp(-1j * theta)]).astype(np.complex128))
 
 
-def ab_pauli(label: str, side: str) -> Operator:
-    """Pauli `label` on Bell-frame subsystem `side` ('A' or 'B'), as a two-qubit matrix.
+@lru_cache(maxsize=None)
+def bell_pauli_dictionary() -> tuple[dict[tuple[str, str], Operator], float]:
+    """The Bell-frame Pauli dictionary as (table, defect): table maps (label, side), side A then B and each X, Y, Z,
+    to U^dag (sigma (x) 1) U or U^dag (1 (x) sigma) U with U = bell_frame_unitary(), each formed once and read out as
+    the exact signed two-qubit Pauli string it equals; defect is the largest entry by which a string differs from its
+    product.  Built once; the entries are read-only."""
+    u, eye = bell_frame_unitary().entries, _SIGMA["I"]
+    strings = np.array([np.kron(left, right) for left in _SIGMA.values() for right in _SIGMA.values()])
+    keys = [(label, side) for side in "AB" for label in "XYZ"]
+    products = [u.conj().T @ (np.kron(_SIGMA[p], eye) if side == "A" else np.kron(eye, _SIGMA[p])) @ u for p, side in keys]
+    # The 16 strings are orthogonal with squared norm 4, so tr(P^dag M) / 4 is M's coefficient on P.
+    coeffs = np.einsum("kij,nij->nk", strings.conj(), products).real / 4
+    best = np.abs(coeffs).argmax(axis=1)
+    exact = np.round(coeffs[range(len(keys)), best])[:, None, None] * strings[best]
+    exact.setflags(write=False)
+    return dict(zip(keys, map(Operator, exact))), float(np.abs(exact - products).max())
 
-    Subsystem A distinguishes even from odd parity, subsystem B the relative
-    sign; the returned operator acts on ordinary two-qubit amplitudes and is
-    the identity on the other Bell-frame subsystem.  It is U^dag (sigma (x) 1) U or
-    U^dag (1 (x) sigma) U with U = bell_frame_unitary(), read out as the exact
-    signed two-qubit Pauli string it equals.
-    """
+
+def ab_pauli(label: str, side: str) -> Operator:
+    """Pauli `label` on Bell-frame subsystem `side` ('A' for parity, 'B' for the relative sign) and the identity on
+    the other, as a two-qubit matrix: its read-only bell_pauli_dictionary() entry."""
     if label not in ("X", "Y", "Z") or side not in ("A", "B"):
         raise ValueError(f"no dictionary entry for Pauli {label!r} on side {side!r}")
-    u, eye = bell_frame_unitary().entries, _SIGMA["I"]
-    local = np.kron(_SIGMA[label], eye) if side == "A" else np.kron(eye, _SIGMA[label])
-    strings = np.array([np.kron(left, right) for left in _SIGMA.values() for right in _SIGMA.values()])
-    # The 16 strings are orthogonal with squared norm 4, so tr(P^dag M) / 4 is M's coefficient on P.
-    coeffs = np.einsum("kij,ij->k", strings.conj(), u.conj().T @ local @ u).real / 4
-    best = np.abs(coeffs).argmax()
-    return Operator(float(np.round(coeffs[best])) * strings[best])
+    return bell_pauli_dictionary()[0][label, side]
 
 
 def spin_hamiltonian(alpha: float, beta: float) -> Operator:
-    """Two-qubit coupling alpha * Z(x)Z + beta * X(x)X.
+    """Two-qubit coupling alpha * Z(x)Z + beta * X(x)X, for finite alpha and beta.
 
     In the Bell frame this is a sum of single-subsystem terms
     alpha * Z_A + beta * Z_B, so its eigenvectors are the Bell states and
     its spectrum is {+-alpha +- beta}.
     """
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError(f"alpha and beta must be finite, got {alpha} and {beta}")
     return Operator(alpha * ab_pauli("Z", "A").entries + beta * ab_pauli("Z", "B").entries)
 
 

@@ -66,12 +66,14 @@ def unitary_defect(mats: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class BipartiteSplit:
-    """A fixed factorization dim = d1 * d2 of a composite system."""
+    """A fixed factorization dim = d1 * d2 of a composite system: d1, d2 are Python or numpy integers >= 1."""
 
     d1: int
     d2: int
 
     def __post_init__(self):
+        if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in (self.d1, self.d2)):
+            raise ValueError(f"subsystem dimensions must be integers, got {self.d1!r} and {self.d2!r}")
         if self.d1 < 1 or self.d2 < 1:
             raise ValueError(f"subsystem dimensions must be >= 1, got {self}")
 
@@ -124,6 +126,17 @@ class StateVector:
     def overlap(self, other: "StateVector") -> complex:
         """Inner product <self|other>."""
         return complex(np.vdot(self.amps, other.amps))
+
+
+def orthogonal_state(state: StateVector) -> StateVector:
+    """A unit vector orthogonal to `state` and fixed by it: Gram-Schmidt on the basis vector least aligned with the
+    state (the first on a tie), its pivot made positive real by phase_fix.  A one-level state raises ValueError."""
+    if state.dim < 2:
+        raise ValueError(f"a state of dimension {state.dim} has no orthogonal state")
+    pivot = int(np.argmin(np.abs(state.amps)))
+    raw = -state.amps * state.amps[pivot].conjugate()  # e_pivot - |state><state|e_pivot>
+    raw[pivot] += 1.0
+    return StateVector.normalized(phase_fix(raw[:, None])[0][:, 0])
 
 
 @dataclass(frozen=True, eq=False)

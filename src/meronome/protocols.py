@@ -285,15 +285,13 @@ class OrderingVerdict(enum.Enum):
 def ordering_discriminate(received: DensityOperator) -> OrderingVerdict:
     """Decide which pairing signal a 16-dimensional state matches.
 
-    Projects onto the support of the first signal state: probability 1
-    means the sender used the same pair ordering, 0 the swapped one, and
-    anything in between is reported as ambiguous.  The first signal is a
-    rank-3 projector divided by 3, so its support projector is 3 * tau.
+    Weighs rho by tr(P_AS rho), its probability on the support of the first
+    signal tau = P_AS/3: weight 1 means the sender used the same pair ordering,
+    0 the swapped one, and anything in between is reported as ambiguous.
     """
     if received.dim != 16:
         raise ValueError(f"expected a four-qubit state, got dim {received.dim}")
-    tau, _ = tau_states()
-    weight = 3.0 * float(np.trace(tau.entries @ received.entries).real)
+    weight = float(np.trace(_pair_projectors(2, 2)["AS"] @ received.entries).real)
     if weight >= 1.0 - TOL_ORDERING:
         return OrderingVerdict.SAME
     if weight <= TOL_ORDERING:

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .frames import ElementStack, Entanglement, Membership, classify, factor_as_local
-from .linalg import TOL_ALGEBRA, TOL_EIGEN, BipartiteSplit, Operator, StateVector, phase_fix
+from .linalg import TOL_ALGEBRA, TOL_EIGEN, BipartiteSplit, Operator, StateVector, orthogonal_state
 from .sampling import haar_unitary_batch, random_m_elements, random_maxent_state, random_maxent_states, random_states
 
 _SQRT2 = np.sqrt(2.0)
@@ -111,22 +111,16 @@ def check_lemma_hermitian(psi: StateVector, phi: StateVector) -> Verdict:
     return Verdict(False, f"superposition classified as {cls}", witness=s)
 
 
-def _orthogonal_complement(state: StateVector) -> StateVector:
-    a, b = state.amps
-    return StateVector(phase_fix(np.array([[-np.conj(b)], [np.conj(a)]]))[0][:, 0])
-
-
 def gamma_delta(psi_local: StateVector, phi_local: StateVector) -> tuple[StateVector, StateVector]:
     """Two maximally entangled states whose equal superposition is |psi, phi>.
 
-    Gamma = (|psi,phi> + |psi_perp,phi_perp>)/sqrt(2) and
-    Delta = (|psi,phi> - |psi_perp,phi_perp>)/sqrt(2), with the orthogonal
-    complements fixed deterministically.
+    Gamma, Delta = (|psi,phi> +- |psi_perp,phi_perp>)/sqrt(2), with psi_perp = orthogonal_state(psi)
+    and phi_perp = orthogonal_state(phi).
     """
     if psi_local.dim != 2 or phi_local.dim != 2:
         raise ValueError("inputs must be single-qubit states")
     product = np.kron(psi_local.amps, phi_local.amps)
-    flipped = np.kron(_orthogonal_complement(psi_local).amps, _orthogonal_complement(phi_local).amps)
+    flipped = np.kron(orthogonal_state(psi_local).amps, orthogonal_state(phi_local).amps)
     gamma = StateVector((product + flipped) / _SQRT2)
     delta = StateVector((product - flipped) / _SQRT2)
     return gamma, delta

@@ -16,6 +16,7 @@ from meronome.frames import (
     ab_pauli,
     apply_element,
     bell_frame_unitary,
+    bell_pauli_dictionary,
     classify,
     factor_as_local,
     pauli,
@@ -315,6 +316,12 @@ def test_theta_frame_entry():
     assert_allclose(u, np.diag([1, 1, 1, np.exp(-1j * theta)]), atol=1e-15)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_theta_frame_rejects_non_finite(theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        theta_frame_unitary(theta)
+
+
 # ---------------------------------------------------------------- Pauli dictionary
 
 _DICTIONARY = {
@@ -337,11 +344,17 @@ def test_pauli_dictionary_matches_frame_conjugation():
     # independent oracle: conjugate sigma (x) 1 / 1 (x) sigma by the frame change
     u = bell_frame_unitary().entries
     eye = np.eye(2, dtype=complex)
+    defects = []
     for side in "AB":
         for label in "XYZ":
             sigma = pauli(label).entries
             frame_op = np.kron(sigma, eye) if side == "A" else np.kron(eye, sigma)
-            assert np.abs(ab_pauli(label, side).entries - u.conj().T @ frame_op @ u).max() < 1e-12
+            defects.append(np.abs(ab_pauli(label, side).entries - u.conj().T @ frame_op @ u).max())
+            assert defects[-1] < 1e-12
+    table, defect = bell_pauli_dictionary()
+    assert list(table) == [(label, side) for side in "AB" for label in "XYZ"]  # the pauli-table order
+    assert all(table[key] is ab_pauli(*key) for key in table)
+    assert defect == max(defects)
 
 
 def test_pauli_dictionary_algebra():
@@ -363,8 +376,19 @@ def test_ab_pauli_rejects_unknown():
         ab_pauli("X", "C")
 
 
+def test_pauli_dictionary_entries_are_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        ab_pauli("X", "A").entries[0, 0] = 2.0
+
+
 def test_spin_hamiltonian_zero():
     assert_allclose(spin_hamiltonian(0.0, 0.0).entries, np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize("alpha, beta", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.0)])
+def test_spin_hamiltonian_rejects_non_finite(alpha, beta):
+    with pytest.raises(ValueError, match="alpha and beta must be finite"):
+        spin_hamiltonian(alpha, beta)
 
 
 def test_spin_hamiltonian_is_sum_of_sides():

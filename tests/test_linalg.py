@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from meronome.linalg import (
+    BipartiteSplit,
     DensityOperator,
     Operator,
     StateVector,
     distance_up_to_phase,
     kron,
+    orthogonal_state,
     permutation_operator,
     phase_fix,
     unitary_defect,
@@ -191,6 +193,40 @@ def test_phase_fix_pins_first_significant_entry_per_column():
     # 1e-13j lies below 1e-12 of the column's largest modulus, so -2j is the pivot
     assert_allclose(fixed[[1, 2], [0, 1]], [2.0, 5.0], rtol=0, atol=1e-15)
     assert_allclose(fixed * phases, mat, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 64])
+def test_orthogonal_state_is_a_phase_pinned_unit_vector_orthogonal_to_the_state(dim):
+    rng = seeded(200 + dim)
+    for state in [random_state(dim, rng) for _ in range(50)] + [StateVector.basis(dim, 0), StateVector.basis(dim, dim - 1)]:
+        chi = orthogonal_state(state)
+        assert abs(np.linalg.norm(chi.amps) - 1.0) <= 1e-15
+        assert abs(state.overlap(chi)) <= 1e-15
+        pivot = chi.amps[(np.abs(chi.amps) > 1e-12 * np.abs(chi.amps).max()).argmax()]
+        assert pivot.real > 0 and abs(pivot.imag) <= 1e-15 * pivot.real
+        if dim == 2:  # the qubit complement phase_fix((-conj b, conj a)) is the oracle
+            a, b = state.amps
+            expected = phase_fix(np.array([[-np.conj(b)], [np.conj(a)]]))[0][:, 0]
+            assert np.abs(chi.amps - expected).max() <= 1e-15
+
+
+def test_orthogonal_state_rejects_one_level_state():
+    with pytest.raises(ValueError, match="a state of dimension 1 has no orthogonal state"):
+        orthogonal_state(StateVector.basis(1, 0))
+
+
+# ---------------------------------------------------------------- splits
+
+@pytest.mark.parametrize("d1, d2", [(2.5, 2), (2.0, 2), (2, 3.0), (True, 2), (2, np.float64(2.0)), (np.bool_(True), 1)])
+def test_bipartite_split_rejects_non_integer_dimensions(d1, d2):
+    with pytest.raises(ValueError, match="subsystem dimensions must be integers"):
+        BipartiteSplit(d1, d2)
+
+
+def test_bipartite_split_takes_python_and_numpy_integers():
+    for d1, d2 in [(2, 3), (np.int64(2), 3), (2, np.int32(3)), (np.uint8(2), np.int16(3))]:
+        split = BipartiteSplit(d1, d2)
+        assert (str(split), split.dim, split) == ("2x3", 6, BipartiteSplit(2, 3))
 
 
 # ---------------------------------------------------------------- norms and phases

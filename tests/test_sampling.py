@@ -450,6 +450,24 @@ def test_twirl_converges_to_maximally_mixed():
     assert fine < 0.05
 
 
+@pytest.mark.parametrize(
+    "split, n, workers",
+    [(S22, 1000, 1), (BipartiteSplit(3, 3), 1000, 3), (S23, 500, 1), (S22, 5000, 4)],
+    ids=["2x2", "3x3-workers3", "2x3", "2x2-workers4"],
+)
+def test_twirl_second_moment_matches_haar(split, n, workers):
+    # For pure rho each sample g rho g^dag - 1/D has mean 0 and squared norm exactly 1 - 1/D, so n |rho_hat - 1/D|^2
+    # has mean 1 - 1/D: a double-counted chunk or a wrong normalization moves it.
+    scaled = []
+    for seed in range(200):
+        rng = seeded(seed)
+        est = twirl_monte_carlo(random_state(split.dim, rng), split, n, rng, workers)
+        est.flat[:: split.dim + 1] -= 1.0 / split.dim
+        scaled.append(n * np.linalg.norm(est) ** 2)
+    z = (np.mean(scaled) - (1.0 - 1.0 / split.dim)) / (np.std(scaled, ddof=1) / np.sqrt(len(scaled)))
+    assert abs(z) <= 5.0, z
+
+
 def _per_shard_merge(rho: DensityOperator, split: BipartiteSplit, samples: int, workers: int, seed: int) -> np.ndarray:
     """Oracle: one estimate per nonempty share on its spawned stream, merged weighted by share."""
     base, extra = divmod(samples, workers)
