@@ -77,7 +77,7 @@ def _times_swap(mat: np.ndarray, d: int) -> np.ndarray:
 
 def _factor_action(v: np.ndarray, w: np.ndarray, swaps: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """v Psi w^T for each (d1, d2) amplitude matrix Psi in psi, on Psi^T where `swaps` is set, with v, w and the
-    boolean array swaps broadcast against psi's leading axes: the action of a stack and of the twirl."""
+    boolean array swaps broadcast against psi's leading axes: the action of a stack, of one element and of the twirl."""
     psi = np.where(swaps, psi.swapaxes(-1, -2), psi) if swaps.any() else psi
     return v @ psi @ w.swapaxes(-1, -2)
 
@@ -138,13 +138,13 @@ class ElementStack:
         """The full matrices (v (x) w) * swap as one (n, D, D) array, for membership tests that need them whole."""
         (n, d1, _), d2 = self.v.shape, self.w.shape[1]
         mats = (self.v[:, :, None, :, None] * self.w[:, None, :, None, :]).reshape(n, d1 * d2, d1 * d2)  # linalg.kron
-        return np.where(self.swaps[:, None, None], _times_swap(mats, d1), mats) if d1 == d2 else mats
+        return np.where(self.swaps[:, None, None], _times_swap(mats, d1), mats) if self.swaps.any() else mats
 
 
 @dataclass(frozen=True, eq=False)
 class MeronomicElement:
     """One decomposition-preserving unitary: (v (x) w) then optionally the factor swap, a record checked as a count-1
-    ElementStack.  apply_element and to_operator act as row 0 of its one-row stack.
+    ElementStack.  to_operator is row 0 of its one-row stack; apply_element acts by the stack's kernel, stack unbuilt.
 
     The swap flag is only meaningful for equal factor dimensions.
     """
@@ -238,12 +238,13 @@ def classify(state: StateVector, split: BipartiteSplit, tol: float = TOL_ALGEBRA
 
 
 def apply_element(elem: MeronomicElement, state: StateVector, split: BipartiteSplit) -> StateVector:
-    """Act with a decomposition-preserving element on a composite state: row 0 of the element's one-row stack."""
+    """Act with a decomposition-preserving element on a composite state through its factors, by a stack's kernel."""
     if elem.split != split:
         raise ValueError(f"element acts on {elem.split}, state split is {split}")
     if state.dim != split.dim:
         raise ValueError(f"state dim {state.dim} does not match split {split}")
-    return StateVector(ElementStack.from_elements([elem]).act(state.amps[None])[0])
+    psi = state.amps.reshape(split.d1, split.d2)
+    return StateVector(_factor_action(elem.v.entries, elem.w.entries, np.bool_(elem.swap), psi).reshape(-1))
 
 
 def bell_frame_unitary() -> Operator:
@@ -328,10 +329,8 @@ def _try_product_form(branches: np.ndarray, split: BipartiteSplit, tol: float):
     k = lower.index(min(lower))
     if lower[k] > tol:
         return MembershipResult(Membership.NOT_MEMBER, None, lower[k])
-    raw = p[k, :, 0].reshape(1, d1, d1), qh[k, 0, :].reshape(1, d2, d2)
-    # Nearest unitaries via the polar decomposition of each factor, in one SVD when d1 == d2.
-    stacks = [np.concatenate(raw)] if d1 == d2 else raw
-    v, w = (unitary for left, _, right in map(np.linalg.svd, stacks) for unitary in left @ right)
+    # Nearest unitaries via the polar decomposition of each factor, one SVD each.
+    v, w = (a @ b for a, _, b in map(np.linalg.svd, (p[k, :, 0].reshape(d1, d1), qh[k, 0, :].reshape(d2, d2))))
     # Pin v's phase (v read row by row as one column); w takes it back, so v (x) w is unchanged.
     flat, phases = phase_fix(v.reshape(-1, 1))
     factors = Operator(flat.reshape(d1, d1)), Operator(w * phases[0])

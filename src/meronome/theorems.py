@@ -108,7 +108,7 @@ def check_lemma_hermitian(psi: StateVector, phi: StateVector) -> Verdict:
     cls, s = _superposition_entanglement(psi, phi)
     if cls is Entanglement.PRODUCT:
         return Verdict(True, "superposition is a product state")
-    return Verdict(False, f"superposition classified as {cls}", witness=s)
+    return Verdict(False, f"superposition classified as {cls.value}", witness=s)
 
 
 def gamma_delta(psi_local: StateVector, phi_local: StateVector) -> tuple[StateVector, StateVector]:

@@ -1,3 +1,4 @@
+import csv
 import importlib
 import importlib.util
 import io
@@ -339,6 +340,34 @@ def test_csv_format(capsys):
     assert table["result.estimate.hits"] == "0"
 
 
+def _at(payload, key: str):
+    for part in key.split("."):
+        payload = payload[int(part)] if isinstance(payload, list) else payload[part]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "argv, list_keys",
+    [
+        (["schmidt", "--state", PHI_PLUS_TEXT, "--split", "2x2"], ["result.params.0", "result.params.1"]),
+        (["frame", "bell"], [f"result.unitary.{i}.{j}.{part}" for i in range(4) for j in range(4) for part in (0, 1)]),
+    ],
+    ids=["schmidt", "frame-bell"],
+)
+def test_csv_flattens_lists_by_index(capsys, argv, list_keys):
+    # list entries get their index as a key part (a complex entry is [re, im]); each value is the JSON one at its path
+    _, payload, _ = _run_json(capsys, argv)
+    assert cli.run([*argv, "--format", "csv"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == ["key", "value"]
+    table = dict(rows)
+    assert len(table) == len(rows) and set(list_keys) <= table.keys()
+    for key, value in table.items():
+        if key not in ("config.fmt", "elapsed_ms"):  # the format asked for, and the run's own clock
+            expected = _at(payload, key)
+            assert value == ("" if expected is None else str(expected)), key
+
+
 # ---------------------------------------------------------------- failure modes
 
 @pytest.mark.parametrize(
@@ -440,6 +469,7 @@ def test_negative_scientific_notation_is_a_value(capsys):
         (["classify", "--state", "1,0", "--split", "1x1", "--tol", "0.25"], "argument --tol: must lie in (0, 0.25), got 0.25"),
         (["classify", "--state", "1,0", "--split", "1x1", "--tol", "0"], "argument --tol: must lie in (0, 0.25), got 0"),
         (["refframe", "--n", "1", "--dim", "65"], "argument --dim: must be at most 64, got 65"),
+        (["schmidt", "--state", "  ", "--split", "2x2"], "empty state"),
     ],
 )
 def test_bad_input_message_names_the_problem(capsys, argv, message):

@@ -13,6 +13,7 @@ from meronome.frames import (
     Entanglement,
     Membership,
     MeronomicElement,
+    SchmidtDecomposition,
     ab_pauli,
     apply_element,
     bell_frame_unitary,
@@ -104,6 +105,22 @@ def test_schmidt_left_columns_are_phase_pinned():
 def test_schmidt_rejects_wrong_dim():
     with pytest.raises(ValueError):
         schmidt_decompose(StateVector.basis(4, 0), BipartiteSplit(2, 3))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: pauli("W"), "unknown Pauli label 'W'"),
+        (
+            lambda: SchmidtDecomposition([0.5, 0.4], np.eye(2), np.eye(2)),
+            "Schmidt parameters must be nonnegative and sum to 1",
+        ),
+    ],
+    ids=["pauli-label", "schmidt-params-sum"],
+)
+def test_frame_records_reject_bad_input(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 # ---------------------------------------------------------------- classification

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,19 @@ def _state(amps) -> StateVector:
 
 
 # ---------------------------------------------------------------- states
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Operator(np.zeros((2, 3))), "expected a square matrix, got shape (2, 3)"),
+        (lambda: StateVector(np.eye(2) / np.sqrt(2.0)), "expected a 1-D amplitude array, got shape (2, 2)"),
+    ],
+    ids=["non-square-operator", "2d-state"],
+)
+def test_constructors_reject_the_wrong_array_shape(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
 
 def test_state_rejects_bad_norm():
     with pytest.raises(ValueError):

@@ -389,6 +389,19 @@ def test_measure_sym_validation():
         measure_sym_subspace(StateVector.basis(8, 0), StateVector.basis(8, 0), 4)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: measure_sym_subspace(StateVector.basis(2, 0), StateVector.basis(2, 1), 0),
+        lambda: reference_frame_effect(StateVector.basis(2, 0), 0),
+    ],
+    ids=["measure_sym_subspace", "reference_frame_effect"],
+)
+def test_reference_frame_checks_need_a_reference_copy(call):
+    with pytest.raises(ValueError, match="^need at least one reference copy, got 0$"):
+        call()
+
+
 def test_reference_frame_effect_spectrum():
     phi = StateVector.basis(2, 0)
     for n in (1, 4, 9):

@@ -9,6 +9,8 @@ from meronome import theorems
 from meronome.frames import (
     ElementStack,
     Entanglement,
+    Membership,
+    MembershipResult,
     MeronomicElement,
     bell_frame_unitary,
     classify,
@@ -168,6 +170,36 @@ def test_lemmas_on_constructed_instances():
         assert check_lemma_hermitian(base, _second_factor(h, base)).passed
 
 
+def _classified_as(cls: Entanglement, monkeypatch) -> list[np.ndarray]:
+    # every superposition is reported as `cls`; the superpositions themselves are kept to compare witnesses against
+    superpositions, classify_superposition = [], theorems._superposition_entanglement
+
+    def forced(psi, phi):
+        superpositions.append(classify_superposition(psi, phi)[1])
+        return cls, superpositions[-1]
+
+    monkeypatch.setattr(theorems, "_superposition_entanglement", forced)
+    return superpositions
+
+
+def test_lemma_antihermitian_reports_a_broken_biconditional(monkeypatch):
+    superpositions = _classified_as(Entanglement.PRODUCT, monkeypatch)
+    verdict = check_lemma_antihermitian(PHI_PLUS, _second_factor(1j * np.diag([1.0, -1.0]).astype(complex), PHI_PLUS))
+    [s] = superpositions
+    assert not verdict.passed
+    assert verdict.detail == "anti-Hermitian=True but superposition maximally entangled=False"
+    assert verdict.witness is s
+
+
+def test_lemma_hermitian_names_the_class_it_found(monkeypatch):
+    superpositions = _classified_as(Entanglement.ENTANGLED, monkeypatch)
+    verdict = check_lemma_hermitian(PHI_PLUS, PHI_MINUS)
+    [s] = superpositions
+    assert not verdict.passed
+    assert verdict.detail == "superposition classified as Entangled"  # the class's value, as the CLI prints it
+    assert verdict.witness is s
+
+
 def test_gamma_delta_basis_case():
     gamma, delta = gamma_delta(StateVector.basis(2, 0), StateVector.basis(2, 0))
     assert np.abs(gamma.amps - PHI_PLUS.amps).max() < 1e-12
@@ -283,6 +315,22 @@ def test_member_recognition_check():
     assert all(verdict.passed for verdict in verdicts)
     [faulted] = member_recognition_check(ElementStack.from_elements([_faulted_element()]))
     assert not faulted.passed and faulted.witness is not None
+
+
+def test_member_recognition_check_reports_a_wrong_verdict(monkeypatch):
+    # a test that names a member NotMember: the verdict gives both classes and the residual, the witness the matrix
+    rejected = MembershipResult(Membership.NOT_MEMBER, None, 0.5)
+    monkeypatch.setattr(theorems, "factor_as_local", lambda u, split, tol: rejected)
+    stack = random_m_elements(S22, 2, seeded(25))
+    stack.swaps[:] = [False, True]
+    verdicts = member_recognition_check(stack)
+    assert [verdict.passed for verdict in verdicts] == [False, False]
+    assert [verdict.detail for verdict in verdicts] == [
+        "expected Local, got NotMember with residual 5.00e-01",
+        "expected SwapLocal, got NotMember with residual 5.00e-01",
+    ]
+    for verdict, mat in zip(verdicts, stack.operators()):
+        assert np.array_equal(verdict.witness, mat)
 
 
 def _per_element_drift(elem: MeronomicElement, amps: np.ndarray, split: BipartiteSplit):
@@ -440,6 +488,16 @@ def test_lemmas_suite_classifies_every_random_pair_superposition(monkeypatch):
     assert check_lemmas_suite(50, seeded(0)).passed
     assert len(classes) == 150
     assert None not in classes[2::3]  # per trial: anti-Hermitian, Hermitian, random pair
+
+
+def test_lemmas_suite_reports_the_first_failing_case(monkeypatch):
+    # every superposition reads as maximally entangled: trial 0's anti-Hermitian case passes, its Hermitian one fails
+    superpositions = _classified_as(Entanglement.MAXIMALLY_ENTANGLED, monkeypatch)
+    verdict = check_lemmas_suite(3, seeded(0))
+    assert len(superpositions) == 3  # a trial runs its three cases before it reports
+    assert not verdict.passed
+    assert verdict.detail == "trial 0, Hermitian construction: superposition classified as MaximallyEntangled"
+    assert verdict.witness is superpositions[1]
 
 
 @pytest.mark.parametrize(
